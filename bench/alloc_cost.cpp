@@ -12,8 +12,8 @@
 ///
 /// Only the allocation phase is measured: each iteration compiles the MiniC
 /// source to unallocated ILOC outside the clock (manual timing), then times
-/// allocateProgram alone. Counters break the allocator's cost down into
-/// graph construction time, liveness time, and peak adjacency memory.
+/// allocateProgramChecked alone. Counters break the allocator's cost down
+/// into graph construction time, liveness time, and peak adjacency memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +51,7 @@ void allocBench(benchmark::State &State, const char *Program,
       return;
     }
     auto Start = std::chrono::steady_clock::now();
-    AllocStats S = allocateProgram(*CR.Prog, Kind, Alloc);
+    AllocStats S = allocateProgramChecked(*CR.Prog, Kind, Alloc).Total;
     auto End = std::chrono::steady_clock::now();
     State.SetIterationTime(
         std::chrono::duration<double>(End - Start).count());
@@ -111,7 +111,8 @@ int runJsonMode() {
         AllocOptions Alloc;
         Alloc.K = K;
         auto Start = std::chrono::steady_clock::now();
-        AllocStats S = allocateProgram(*CR.Prog, Kind, Alloc);
+        AllocStats S =
+            allocateProgramChecked(*CR.Prog, Kind, Alloc).Total;
         double Seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           Start)

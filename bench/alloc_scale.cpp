@@ -9,7 +9,7 @@
 /// Table 1 routines are concatenated into one many-function program (the
 /// paper's per-procedure independence argument: each function's region tree,
 /// liveness, and interference graphs are private, so functions allocate in
-/// parallel with no shared state). Benchmarks time allocateProgram at
+/// parallel with no shared state). Benchmarks time allocateProgramChecked at
 /// several thread counts; before any timing, one verification pass checks
 /// that a parallel run produces byte-identical per-function output and
 /// structurally equal stats versus a serial run.
@@ -64,7 +64,7 @@ bool allocateAndPrint(AllocatorKind Kind, const AllocOptions &Options,
   std::unique_ptr<IlocProgram> Prog = buildCombinedProgram();
   if (!Prog)
     return false;
-  Stats = allocateProgram(*Prog, Kind, Options);
+  Stats = allocateProgramChecked(*Prog, Kind, Options).Total;
   Printed.clear();
   for (const auto &F : Prog->functions())
     Printed.push_back(F->str());
@@ -127,7 +127,7 @@ void scaleBench(benchmark::State &State, AllocatorKind Kind, unsigned K,
     }
     NumFunctions = static_cast<unsigned>(Prog->functions().size());
     auto Start = std::chrono::steady_clock::now();
-    AllocStats S = allocateProgram(*Prog, Kind, Options);
+    AllocStats S = allocateProgramChecked(*Prog, Kind, Options).Total;
     auto End = std::chrono::steady_clock::now();
     State.SetIterationTime(
         std::chrono::duration<double>(End - Start).count());

@@ -65,7 +65,8 @@ RunOutcome runOnce(const std::string &Src, unsigned K,
   Opts.K = K;
   Opts.RegionThreads = RegionThreads;
   auto Start = std::chrono::steady_clock::now();
-  R.Alloc = allocateProgram(*CR.Prog, AllocatorKind::Rap, Opts);
+  R.Alloc =
+      allocateProgramChecked(*CR.Prog, AllocatorKind::Rap, Opts).Total;
   R.AllocSeconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - Start)
                        .count();

@@ -27,9 +27,9 @@ namespace rap {
 
 struct CompileOptions {
   AllocatorKind Allocator = AllocatorKind::None;
-  /// Passed through to allocateProgram; Alloc.Threads > 1 allocates the
-  /// program's functions on a worker pool with output identical to a serial
-  /// run (see AllocOptions::Threads).
+  /// Passed through to allocateProgramChecked; Alloc.Threads > 1 allocates
+  /// the program's functions on a worker pool with output identical to a
+  /// serial run (see AllocOptions::Threads).
   AllocOptions Alloc;
   RegionGranularity Granularity = RegionGranularity::PerStatement;
   CopyStyle Copies = CopyStyle::Naive;

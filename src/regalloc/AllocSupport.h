@@ -18,9 +18,7 @@
 #include "cfg/Liveness.h"
 #include "ir/IlocFunction.h"
 #include "ir/Linearize.h"
-#include "pdg/DataDependence.h"
 
-#include <memory>
 #include <vector>
 
 namespace rap {
@@ -28,8 +26,7 @@ namespace rap {
 /// Linearization + CFG + liveness of one function. Invalidated by any code
 /// edit; allocators rebuild it after each spill round — passing the stale
 /// CodeInfo so the liveness fixpoint warm-starts from the previous solution
-/// instead of solving from scratch (see Liveness). Flow dependences are
-/// computed lazily on first use and cached for the CodeInfo's lifetime.
+/// instead of solving from scratch (see Liveness).
 struct CodeInfo {
   LinearCode Code;
   Cfg Graph;
@@ -42,15 +39,7 @@ struct CodeInfo {
   explicit CodeInfo(IlocFunction &F, CodeInfo *Prev = nullptr)
       : Code(relinearized(F, Prev)), Graph(Code),
         Live(timedLiveness(*this, F.numVRegs(),
-                           Prev ? &Prev->Live : nullptr)),
-        NumVRegs(F.numVRegs()) {}
-
-  /// The flow (def-use) dependences of Code, built on first request.
-  const DataDependence &dataDeps() const {
-    if (!DD)
-      DD = std::make_unique<DataDependence>(Code, Graph, NumVRegs);
-    return *DD;
-  }
+                           Prev ? &Prev->Live : nullptr)) {}
 
 private:
   static Liveness timedLiveness(CodeInfo &CI, unsigned NumVRegs,
@@ -62,9 +51,6 @@ private:
     linearize(F, Out);
     return Out;
   }
-
-  unsigned NumVRegs;
-  mutable std::unique_ptr<DataDependence> DD;
 };
 
 /// A view of consecutive linear positions (ascending) in RefInfo's flat

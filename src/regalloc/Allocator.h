@@ -20,7 +20,7 @@
 ///
 /// Failures (invariant violations, resource-guard breaches, verifier
 /// rejections in checked mode, injected faults) surface as AllocError.
-/// allocateProgramChecked isolates them per function: with
+/// allocateFunctionChecked isolates them per function: with
 /// AllocOptions::FallbackOnError the failing function alone degrades to a
 /// guaranteed-correct spill-everything allocation (see SpillEverything.h)
 /// while every other function allocates normally.
@@ -67,9 +67,10 @@ struct AllocOptions {
   /// spill-store elimination; the paper's §5 future work). Ablation toggle.
   bool GlobalCleanup = true;
 
-  /// Worker threads for allocateProgram. Functions are allocated
-  /// independently; 0 or 1 means serial. Results are byte-identical to a
-  /// serial run (stats aggregate in function order) regardless of the value.
+  /// Function-level parallelism in allocateProgramChecked: up to this many
+  /// functions are allocated at once on its pool. 0 or 1 means one at a
+  /// time on the calling thread. Results are byte-identical to a serial run
+  /// (stats aggregate in function order) regardless of the value.
   unsigned Threads = 1;
 
   /// Worker threads for RAP's intra-function region-parallel phase 1: the
@@ -82,10 +83,12 @@ struct AllocOptions {
   /// fingerprints.
   unsigned RegionThreads = 1;
 
-  /// Pool carrying the region tasks when RegionThreads > 1. Owned by the
-  /// caller (allocateProgramChecked shares one pool across all function
-  /// workers); null makes each function run spin up an ephemeral pool.
-  ShardPool *RegionPool = nullptr;
+  /// The pool carrying function tasks and, nested inside them, RAP's region
+  /// tasks. Set internally by allocateProgramChecked, which builds one pool
+  /// of max(Threads, RegionThreads) workers when either exceeds 1; a caller
+  /// may pass its own instead. Without a pool, allocateRap runs the classic
+  /// sequential walk whatever RegionThreads says.
+  ShardPool *Pool = nullptr;
 
   /// Minimum subtree weight (instructions) for a region subtree to get its
   /// own pool task; lighter subtrees run inline in the task of their
@@ -138,8 +141,8 @@ struct AllocOptions {
   /// the same way when this is set.
   bool VerifyAssignments = false;
 
-  /// Per-function graceful degradation in allocateProgram /
-  /// allocateProgramChecked: on AllocError the function's pristine body is
+  /// Per-function graceful degradation in allocateFunctionChecked (and so
+  /// allocateProgramChecked): on AllocError the function's pristine body is
   /// restored and allocated with the guaranteed-correct spill-everything
   /// allocator; other functions are unaffected. When off, the error
   /// propagates (deterministically, lowest function index first).
@@ -202,19 +205,26 @@ AllocStats allocateGra(IlocFunction &F, const AllocOptions &Options);
 /// Allocates registers for \p F with RAP. Throws AllocError on failure.
 AllocStats allocateRap(IlocFunction &F, const AllocOptions &Options);
 
+/// Allocates function \p I of \p Prog with \p Kind (Gra or Rap), isolated:
+/// with Options.FallbackOnError, any failure of the allocator discards the
+/// half-edited body, restores a pristine clone taken up front, and
+/// allocates that with the spill-everything fallback — which has no
+/// injection sites, so an armed fault plan cannot re-fire there. Throws
+/// only when FallbackOnError is off or the fallback itself fails. With
+/// Options.Telem set, the function's telemetry is committed under index
+/// \p I.
+AllocOutcome allocateFunctionChecked(IlocProgram &Prog, unsigned I,
+                                     AllocatorKind Kind,
+                                     const AllocOptions &Options);
+
 /// Allocates every function of \p Prog with \p Kind (no-op for None),
 /// returning per-function outcomes plus stats aggregated in function order.
-/// Worker-thread failures are captured per function slot; with
-/// Options.FallbackOnError the affected functions degrade in place,
-/// otherwise the lowest-index failure is rethrown after the pool joins.
+/// Failures are captured per function slot; with Options.FallbackOnError
+/// the affected functions degrade in place, otherwise the lowest-index
+/// failure is rethrown once every function has finished.
 ProgramAllocResult allocateProgramChecked(IlocProgram &Prog,
                                           AllocatorKind Kind,
                                           const AllocOptions &Options);
-
-/// Back-compat wrapper around allocateProgramChecked returning only the
-/// aggregated stats.
-AllocStats allocateProgram(IlocProgram &Prog, AllocatorKind Kind,
-                           const AllocOptions &Options);
 
 /// Parses "gra"/"rap"/"none" (for tools).
 AllocatorKind allocatorKindFromString(const std::string &Name);

@@ -34,7 +34,6 @@
 #include <exception>
 #include <map>
 #include <set>
-#include <thread>
 
 using namespace rap;
 
@@ -282,16 +281,9 @@ AllocStats rap::allocateGra(IlocFunction &F, const AllocOptions &Options) {
   }
 }
 
-namespace {
-
-/// One function's fault-isolated allocation. With FallbackOnError, any
-/// AllocError (or std::exception) from the primary allocator discards the
-/// half-edited body, restores a pristine clone taken up front, and allocates
-/// it with the spill-everything fallback — which has no injection sites, so
-/// an armed fault plan cannot re-fire in the degradation path. Without
-/// FallbackOnError the error propagates to the driver.
-AllocOutcome allocateOne(IlocProgram &Prog, unsigned I, AllocatorKind Kind,
-                         const AllocOptions &Options, unsigned Worker) {
+AllocOutcome rap::allocateFunctionChecked(IlocProgram &Prog, unsigned I,
+                                          AllocatorKind Kind,
+                                          const AllocOptions &Options) {
   IlocFunction *F = Prog.functions()[I].get();
   AllocOutcome Out;
   Out.Function = F->name();
@@ -307,14 +299,14 @@ AllocOutcome allocateOne(IlocProgram &Prog, unsigned I, AllocatorKind Kind,
   struct Committer {
     const AllocOptions &Options;
     telemetry::FunctionScope &Scope;
-    unsigned Index, Worker;
+    unsigned Index;
     std::string Name;
     ~Committer() {
       if (Options.Telem)
-        Options.Telem->commit(Index, std::move(Name), Worker,
-                              std::move(Scope));
+        Options.Telem->commit(Index, std::move(Name),
+                              ShardPool::currentShard(), std::move(Scope));
     }
-  } Commit{Options, Scope, I, Worker, Out.Function};
+  } Commit{Options, Scope, I, Out.Function};
 
   std::unique_ptr<IlocFunction> Backup;
   if (Options.FallbackOnError)
@@ -347,8 +339,6 @@ AllocOutcome allocateOne(IlocProgram &Prog, unsigned I, AllocatorKind Kind,
   return Out;
 }
 
-} // namespace
-
 ProgramAllocResult rap::allocateProgramChecked(IlocProgram &Prog,
                                                AllocatorKind Kind,
                                                const AllocOptions &Options) {
@@ -361,55 +351,50 @@ ProgramAllocResult rap::allocateProgramChecked(IlocProgram &Prog,
   if (Kind == AllocatorKind::None)
     return Res;
 
-  // RAP's region-parallel phase shares one task pool across every function
-  // worker (spinning one up per function would swamp 10k-function modules
-  // with thread churn). The pool only schedules; each function's run owns
-  // its slots and waits on its own TaskGroup, so sharing is free of
-  // cross-function state.
+  // One pool carries both levels of parallelism: with Threads > 1, Threads
+  // tasks pulling function indices from a shared counter, and RAP's region
+  // tasks, nested inside them (a waiting task runs queued tasks, so the
+  // nesting cannot deadlock). Each function's run owns its state and
+  // region slots.
+  unsigned Threads = std::max(1u, std::min(Options.Threads, N));
+  unsigned Workers = std::max(
+      Threads, Kind == AllocatorKind::Rap ? Options.RegionThreads : 1u);
   AllocOptions ProgOptions = Options;
-  std::unique_ptr<ShardPool> RegionPool;
-  if (Kind == AllocatorKind::Rap && Options.RegionThreads > 1 &&
-      !Options.RegionPool) {
+  std::unique_ptr<ShardPool> OwnPool;
+  if (!ProgOptions.Pool && Workers > 1) {
     WatchdogConfig Quiet;
-    Quiet.Factor = 0;
-    RegionPool = std::make_unique<ShardPool>(Options.RegionThreads, Quiet);
-    ProgOptions.RegionPool = RegionPool.get();
+    Quiet.Factor = 0; // allocation has no deadline budget to watch
+    OwnPool = std::make_unique<ShardPool>(Workers, Quiet);
+    ProgOptions.Pool = OwnPool.get();
   }
 
-  // Worker-side exceptions (strict mode, or a failing fallback) are parked
-  // per function slot; after the pool joins, the lowest-index one is
-  // rethrown, so the surfaced error does not depend on thread scheduling.
+  // Outcomes and exceptions (strict mode, or a failing fallback) land in
+  // per-function slots; after the barrier stats fold and the lowest-index
+  // error is rethrown in function order, independent of scheduling.
   std::vector<std::exception_ptr> Errors(N);
-  auto One = [&](unsigned I, unsigned Worker) {
-    try {
-      Res.Outcomes[I] = allocateOne(Prog, I, Kind, ProgOptions, Worker);
-    } catch (...) {
-      Res.Outcomes[I].Status = AllocStatus::Failed;
-      Errors[I] = std::current_exception();
+  std::atomic<unsigned> Next{0};
+  auto Drain = [&] {
+    for (unsigned I = Next.fetch_add(1, std::memory_order_relaxed); I < N;
+         I = Next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        Res.Outcomes[I] = allocateFunctionChecked(Prog, I, Kind, ProgOptions);
+      } catch (...) {
+        Res.Outcomes[I].Status = AllocStatus::Failed;
+        Errors[I] = std::current_exception();
+      }
     }
   };
-
-  unsigned Threads = std::min(Options.Threads, N);
-  if (Threads <= 1) {
-    for (unsigned I = 0; I != N; ++I)
-      One(I, 0);
+  if (Threads == 1) {
+    // One function at a time runs on the calling thread: a pool worker
+    // would gain no overlap and would hold the function's memory in a
+    // second malloc arena, raising peak RSS.
+    Drain();
   } else {
-    // Functions share no mutable state, so each is allocated independently
-    // by a small worker pool. Per-function outcomes land in a slot indexed
-    // by function position and are folded in function order afterwards, so
-    // the aggregate is identical to a serial run regardless of scheduling.
-    std::atomic<unsigned> Next{0};
-    auto Worker = [&](unsigned Lane) {
-      for (unsigned I = Next.fetch_add(1, std::memory_order_relaxed); I < N;
-           I = Next.fetch_add(1, std::memory_order_relaxed))
-        One(I, Lane);
-    };
-    std::vector<std::thread> Pool;
-    Pool.reserve(Threads);
+    TaskGroup Group;
+    Group.expect(Threads);
     for (unsigned T = 0; T != Threads; ++T)
-      Pool.emplace_back(Worker, T);
-    for (auto &T : Pool)
-      T.join();
+      ProgOptions.Pool->submit(T, Drain, &Group);
+    Group.wait();
   }
 
   for (unsigned I = 0; I != N; ++I)
@@ -418,11 +403,6 @@ ProgramAllocResult rap::allocateProgramChecked(IlocProgram &Prog,
   for (const AllocOutcome &O : Res.Outcomes)
     Res.Total.accumulate(O.Stats);
   return Res;
-}
-
-AllocStats rap::allocateProgram(IlocProgram &Prog, AllocatorKind Kind,
-                                const AllocOptions &Options) {
-  return allocateProgramChecked(Prog, Kind, Options).Total;
 }
 
 AllocatorKind rap::allocatorKindFromString(const std::string &Name) {

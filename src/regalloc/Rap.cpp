@@ -828,15 +828,7 @@ bool RapAllocator::runRegionParallelPhase1(InterferenceGraph &Final) {
   if (NumHeavy < 2)
     return false; // nothing to overlap; the classic walk is strictly cheaper
 
-  ShardPool *Pool = Options.RegionPool;
-  std::unique_ptr<ShardPool> Ephemeral;
-  if (!Pool) {
-    WatchdogConfig Quiet;
-    Quiet.Factor = 0; // no deadline-budget watchdog for region tasks
-    Ephemeral = std::make_unique<ShardPool>(Options.RegionThreads, Quiet);
-    Pool = Ephemeral.get();
-  }
-
+  ShardPool &Pool = *Options.Pool;
   telemetry::FunctionScope *TS = Options.Scope;
   struct SpecSlot {
     InterferenceGraph Combined;
@@ -953,9 +945,9 @@ bool RapAllocator::runRegionParallelPhase1(InterferenceGraph &Final) {
         Pending[static_cast<unsigned>(P)].fetch_sub(
             1, std::memory_order_acq_rel) == 1) {
       Group.expect();
-      Pool->submit(static_cast<size_t>(P),
-                   [&RunOwner, P] { RunOwner(static_cast<unsigned>(P)); },
-                   &Group);
+      Pool.submit(static_cast<size_t>(P),
+                  [&RunOwner, P] { RunOwner(static_cast<unsigned>(P)); },
+                  &Group);
     }
   };
   // Initial tasks are decided from the *static* child counts, never the
@@ -966,7 +958,7 @@ bool RapAllocator::runRegionParallelPhase1(InterferenceGraph &Final) {
   for (unsigned I = 0; I != SPD.size(); ++I)
     if (Heavy[I] && HeavyKids[I] == 0) {
       Group.expect();
-      Pool->submit(I, [&RunOwner, I] { RunOwner(I); }, &Group);
+      Pool.submit(I, [&RunOwner, I] { RunOwner(I); }, &Group);
     }
   Group.wait();
 
@@ -1016,7 +1008,8 @@ bool RapAllocator::runRegionParallelPhase1(InterferenceGraph &Final) {
 AllocStats RapAllocator::run() {
   telemetry::FunctionScope *TS = Options.Scope;
   InterferenceGraph Final;
-  if (Options.RegionThreads <= 1 || !runRegionParallelPhase1(Final))
+  if (!Options.Pool || Options.RegionThreads <= 1 ||
+      !runRegionParallelPhase1(Final))
     Final = allocRegion(F.root());
 
   if (Options.SpillMovement) {

@@ -6,8 +6,6 @@
 
 #include "server/CompileService.h"
 
-#include "ir/Clone.h"
-#include "regalloc/SpillEverything.h"
 #include "support/Env.h"
 #include "support/Hash.h"
 
@@ -99,42 +97,6 @@ void stallIgnoringToken(unsigned Ms) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 
-/// One function's fault-isolated allocation on a pool worker: the same
-/// snapshot + spill-everything degradation discipline as the rapcc driver,
-/// reimplemented here because the server reports through FunctionReport
-/// slots instead of ProgramAllocResult. Never throws. Deadline expiry and
-/// drain cancellation arrive here as AllocError (thrown by the allocators'
-/// round-boundary guard) and take the same fallback path: the half-edited
-/// body is discarded and the pristine snapshot gets the guaranteed-correct
-/// linear-time spill-everything allocation — the request may be answering
-/// `deadline-exceeded`, but the shard finishes clean, never wedged.
-void allocateSlot(IlocProgram &Prog, unsigned I, AllocatorKind Kind,
-                  const AllocOptions &Options, FunctionReport &Report,
-                  AllocStats &Stats) {
-  IlocFunction *F = Prog.functions()[I].get();
-  std::unique_ptr<IlocFunction> Backup = cloneFunction(*F);
-  try {
-    Stats = Kind == AllocatorKind::Gra ? allocateGra(*F, Options)
-                                       : allocateRap(*F, Options);
-    Report.Status = AllocStatus::Allocated;
-    return;
-  } catch (const AllocError &E) {
-    Report.Error = E.what();
-  } catch (const std::exception &E) {
-    Report.Error = std::string("internal: ") + E.what();
-  }
-  Report.Status = AllocStatus::Fallback;
-  F = Prog.replaceFunction(I, std::move(Backup));
-  try {
-    Stats = allocateSpillEverything(*F, Options);
-  } catch (const std::exception &E) {
-    // The fallback only fails on API misuse; record it without crashing the
-    // serving loop (crash-free contract).
-    Report.Status = AllocStatus::Failed;
-    Report.Error += std::string("; fallback failed: ") + E.what();
-  }
-}
-
 } // namespace
 
 ServiceResult CompileService::compile(const std::string &Source,
@@ -193,13 +155,18 @@ ServiceResult CompileService::compile(const std::string &Source,
   const unsigned N = static_cast<unsigned>(Prog.functions().size());
   Res.Functions.resize(N);
 
+  // Deadline expiry and drain cancellation reach the allocators as
+  // AllocError at their round boundaries and take the fallback path like
+  // any other failure: the half-edited body is discarded and the pristine
+  // one gets the linear-time spill-everything allocation — the request may
+  // answer `deadline-exceeded`, but the shard finishes clean, never wedged.
   AllocOptions AO;
   AO.K = Opts.K;
   AO.Cancel = &Token;
+  AO.FallbackOnError = true;
 
   // Phase 1 (inline): fingerprint every function and replay cache hits.
   // Hits swap a clone of the stored allocated body into the program slot.
-  std::vector<AllocStats> SlotStats(N);
   std::vector<unsigned> Misses;
   if (Opts.Allocator != AllocatorKind::None) {
     for (unsigned I = 0; I != N; ++I) {
@@ -214,9 +181,7 @@ ServiceResult CompileService::compile(const std::string &Source,
       CachedAllocation Hit = Cache.lookup(R.Fingerprint);
       if (Hit.Body) {
         R.CacheHit = true;
-        R.Status = Hit.Outcome.Status;
-        R.Error = Hit.Outcome.Error;
-        SlotStats[I] = Hit.Outcome.Stats;
+        R.Outcome = std::move(Hit.Outcome);
         Prog.replaceFunction(I, std::move(Hit.Body));
       } else {
         Misses.push_back(I);
@@ -225,23 +190,31 @@ ServiceResult CompileService::compile(const std::string &Source,
 
     // Phase 2 (parallel): allocate the misses on the shard pool. One
     // request's misses share an affinity hint so they land on one shard;
-    // idle shards steal them back when the batch is skewed. The calling
-    // thread is never a pool worker, so waiting here cannot deadlock. The
-    // barrier ALWAYS completes: queued tasks whose token already stopped
-    // are skipped by the pool, and running allocations abort at their next
+    // idle shards steal them back when the batch is skewed. The barrier
+    // ALWAYS completes: queued tasks whose token already stopped are
+    // skipped by the pool, and running allocations abort at their next
     // round boundary — a deadline can cost one round, never a wedged shard.
     size_t Hint = NextShardHint.fetch_add(1, std::memory_order_relaxed);
     if (!Misses.empty()) {
       TaskGroup Group;
       Group.expect(Misses.size());
       for (unsigned I : Misses)
-        Pool.submit(Hint, [this, &Prog, I, &Opts, AO, &Res, &SlotStats] {
+        Pool.submit(Hint, [this, &Prog, I, &Opts, &AO, &Res] {
           if (chaosFires(FaultSite::WorkerStall)) {
             ChaosInjectedCount.fetch_add(1, std::memory_order_relaxed);
             stallIgnoringToken(Config.ChaosStallMs);
           }
-          allocateSlot(Prog, I, Opts.Allocator, AO, Res.Functions[I],
-                       SlotStats[I]);
+          FunctionReport &R = Res.Functions[I];
+          try {
+            R.Outcome = allocateFunctionChecked(Prog, I, Opts.Allocator, AO);
+          } catch (const std::exception &E) {
+            // Only the fallback itself can throw here, on code no
+            // allocator can handle at this k; record it without crashing
+            // the serving loop (crash-free contract).
+            R.Outcome.Function = R.Name;
+            R.Outcome.Status = AllocStatus::Failed;
+            R.Outcome.Error = std::string("fallback failed: ") + E.what();
+          }
         }, &Group, &Token);
       Group.wait();
     }
@@ -256,24 +229,19 @@ ServiceResult CompileService::compile(const std::string &Source,
     // The cache-insert chaos site drops the insert (a contained fault: the
     // function simply misses again next time); it never corrupts state.
     for (unsigned I : Misses) {
-      FunctionReport &R = Res.Functions[I];
-      if (R.Status == AllocStatus::Failed)
+      const FunctionReport &R = Res.Functions[I];
+      if (R.Outcome.Status == AllocStatus::Failed)
         continue; // nothing replayable
       if (chaosFires(FaultSite::CacheInsert)) {
         ChaosInjectedCount.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      AllocOutcome Out;
-      Out.Function = R.Name;
-      Out.Status = R.Status;
-      Out.Error = R.Error;
-      Out.Stats = SlotStats[I];
-      Cache.insert(R.Fingerprint, *Prog.functions()[I], Out);
+      Cache.insert(R.Fingerprint, *Prog.functions()[I], R.Outcome);
       // Journal the insertion so a restarted server replays it. Same
       // function-order discipline as the cache insert itself; a degraded
       // store makes this a no-op and the server keeps serving in-memory.
       if (Store)
-        Store->append(R.Fingerprint, *Prog.functions()[I], Out);
+        Store->append(R.Fingerprint, *Prog.functions()[I], R.Outcome);
     }
   } else {
     for (unsigned I = 0; I != N; ++I)
@@ -281,7 +249,7 @@ ServiceResult CompileService::compile(const std::string &Source,
   }
 
   for (unsigned I = 0; I != N; ++I) {
-    Res.Alloc.accumulate(SlotStats[I]);
+    Res.Alloc.accumulate(Res.Functions[I].Outcome.Stats);
     if (Opts.Allocator != AllocatorKind::None) {
       Res.CacheHits += Res.Functions[I].CacheHit;
       Res.CacheMisses += !Res.Functions[I].CacheHit;

@@ -120,8 +120,8 @@ struct FunctionReport {
   std::string Name;
   uint64_t Fingerprint = 0;
   bool CacheHit = false;
-  AllocStatus Status = AllocStatus::Allocated;
-  std::string Error; ///< degradation detail when Status == Fallback
+  /// What allocateFunctionChecked reported (or the cache replayed).
+  AllocOutcome Outcome;
 };
 
 /// One compiled request.
@@ -143,7 +143,7 @@ struct ServiceResult {
   unsigned degraded() const {
     unsigned N = 0;
     for (const FunctionReport &F : Functions)
-      N += F.Status != AllocStatus::Allocated;
+      N += F.Outcome.degraded();
     return N;
   }
 };

@@ -157,9 +157,9 @@ json::Value server::compileResponse(const Request &Req,
     FO["name"] = F.Name;
     FO["fingerprint"] = hashHex(F.Fingerprint);
     FO["cached"] = F.CacheHit;
-    FO["status"] = statusName(F.Status);
-    if (!F.Error.empty())
-      FO["error"] = F.Error;
+    FO["status"] = statusName(F.Outcome.Status);
+    if (!F.Outcome.Error.empty())
+      FO["error"] = F.Outcome.Error;
     PerFunction.push_back(json::Value(std::move(FO)));
   }
   O["per_function"] = json::Value(std::move(PerFunction));

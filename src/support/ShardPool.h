@@ -5,15 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared execution substrate for the compile server and the region-parallel
-/// allocator: N shards, each a worker thread
-/// with its own task deque. Producers place tasks on a shard chosen by an
-/// affinity hint (requests keep their functions together for locality);
-/// a worker drains its own deque FIFO and, when empty, steals from the
-/// *back* of a sibling's deque — the classic split that keeps owners and
-/// thieves off the same end. Stealing is what keeps a batch with skewed
-/// shard assignment (one huge request, many idle shards) at full
-/// utilization.
+/// Shared execution substrate for the compile server and
+/// allocateProgramChecked: N shards, each a worker thread with its own task
+/// deque. Producers place tasks on a shard chosen by an affinity hint
+/// (requests keep their functions together for locality); a worker drains
+/// its own deque FIFO and, when empty, steals from the *back* of a
+/// sibling's deque — the classic split that keeps owners and thieves off
+/// the same end. Stealing is what keeps a batch with skewed shard
+/// assignment (one huge request, many idle shards) at full utilization.
+///
+/// Tasks may nest: a task can submit subtasks and wait on their TaskGroup.
+/// A pool worker that waits keeps running queued tasks until its group
+/// drains, so the wait never idles a worker and cannot deadlock the pool,
+/// even with a single shard. allocateProgramChecked relies on this: one
+/// pool carries the function tasks and, nested inside them, RAP's region
+/// tasks.
 ///
 /// Determinism: the pool schedules, it does not order results. Callers
 /// write each task's output into a pre-assigned slot (function index,
@@ -33,7 +39,9 @@
 ///     watchdog cannot preempt it, but it marks the shard degraded (sticky
 ///     until that task finally completes) and counts a trip, so operators
 ///     see wedged workers in the `server` stats section instead of
-///     wondering where their capacity went.
+///     wondering where their capacity went. A nested task takes over its
+///     worker's registration while it runs and hands the outer task's back
+///     when it finishes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +50,7 @@
 
 #include "support/Deadline.h"
 
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -57,11 +66,11 @@ namespace rap {
 
 /// Countdown latch for one batch of pool tasks: the submitter registers
 /// each task, workers signal completion, wait() blocks until all are done.
-/// Threads that call wait() are never pool workers (the service orchestrates
-/// from the connection/bench thread; the region allocator waits from the
-/// per-function thread), so waiting cannot deadlock the pool. Workers may
-/// expect()+submit() follow-on tasks from inside a task as long as they do
-/// so before returning — their own pending done() keeps the barrier open.
+/// Called on a pool worker, wait() runs that pool's queued tasks until the
+/// batch completes (see ShardPool), so a task may wait on subtasks it
+/// submitted. Workers may also expect()+submit() follow-on tasks from
+/// inside a task as long as they do so before returning — their own
+/// pending done() keeps the barrier open.
 class TaskGroup {
 public:
   void expect(size_t N = 1) {
@@ -73,12 +82,15 @@ public:
     if (--Pending == 0)
       CV.notify_all();
   }
-  void wait() {
-    std::unique_lock<std::mutex> Lock(M);
-    CV.wait(Lock, [&] { return Pending == 0; });
-  }
+  void wait();
 
 private:
+  bool finished() {
+    std::lock_guard<std::mutex> Lock(M);
+    return Pending == 0;
+  }
+
+  friend class ShardPool;
   std::mutex M;
   std::condition_variable CV;
   size_t Pending = 0;
@@ -123,6 +135,10 @@ public:
 
   unsigned shards() const { return static_cast<unsigned>(Shards.size()); }
 
+  /// Index of the shard whose worker is the calling thread (telemetry
+  /// lanes); 0 on a thread that is no pool's worker.
+  static unsigned currentShard();
+
   /// High-water mark of any single shard's queue depth (telemetry).
   uint64_t queueDepthMax() const;
   /// Tasks executed by a worker that did not own their shard (telemetry;
@@ -144,26 +160,36 @@ private:
     const CancelToken *Token = nullptr;
   };
 
+  /// The watchdog's view of the task a worker is running. Written by the
+  /// worker and read by the watchdog, both under the shard's M. Token is
+  /// null while no task with a token runs; the worker resets it (under M)
+  /// before releasing the task's barrier, so the watchdog can never
+  /// observe a dangling token.
+  struct RunningTask {
+    const CancelToken *Token = nullptr;
+    std::chrono::steady_clock::time_point Since{};
+    bool Tripped = false; ///< this running task already counted a trip
+  };
+
   struct Shard {
     std::mutex M;
     std::deque<QueueItem> Q;
     uint64_t DepthMax = 0;
-
-    // Running-task registration, written by the worker and read by the
-    // watchdog, both under M. RunningToken is only valid while RunningSet;
-    // the worker clears it (under M) before releasing the task's barrier,
-    // so the watchdog can never observe a dangling token.
-    bool RunningSet = false;
-    const CancelToken *RunningToken = nullptr;
-    std::chrono::steady_clock::time_point RunningSince{};
-    bool Tripped = false;  ///< this running task already counted a trip
+    RunningTask Running;
     bool Degraded = false; ///< sticky until the tripped task completes
   };
 
   void workerLoop(unsigned Self);
   void watchdogLoop();
-  bool takeOwn(unsigned Self, QueueItem &Out);
-  bool stealFrom(unsigned Victim, QueueItem &Out);
+  bool take(unsigned From, bool Own, QueueItem &Out);
+  bool anyQueued() const;
+  /// Takes one task — own deque first, then a sibling's — and runs it on
+  /// worker \p Self. False when every deque is empty.
+  bool runOne(unsigned Self);
+  /// TaskGroup::wait on a worker of this pool: runs queued tasks until
+  /// \p G drains.
+  void helpUntilDone(TaskGroup &G);
+  friend class TaskGroup;
 
   std::vector<std::unique_ptr<Shard>> Shards;
   std::vector<std::thread> Workers;
@@ -172,11 +198,13 @@ private:
   std::thread WatchdogThread;
 
   // One pool-wide sleep channel: workers park here when every deque is
-  // empty. Simpler than per-shard wakeups and plenty for the server's
-  // task granularity (one task = one function allocation).
+  // empty, and so do waiting workers whose group's last tasks run
+  // elsewhere. Simpler than per-shard wakeups and plenty for task
+  // granularity (one task = one function or region-subtree allocation).
   std::mutex SleepM;
   std::condition_variable SleepCV;
   bool Stopping = false;
+  unsigned SleepingWaiters = 0; ///< workers parked inside TaskGroup::wait
 
   mutable std::mutex StatsM;
   uint64_t Stolen = 0;
@@ -184,14 +212,6 @@ private:
   uint64_t Skipped = 0;
   uint64_t Trips = 0;
 };
-
-// Historical home of the pool; the server code still refers to these names
-// through its own namespace.
-namespace server {
-using rap::ShardPool;
-using rap::TaskGroup;
-using rap::WatchdogConfig;
-} // namespace server
 
 } // namespace rap
 

@@ -315,7 +315,7 @@ TEST(ParallelDeterminism, RegionThreadsBitIdenticalWhenSpilling) {
 
 TEST(ParallelDeterminism, RegionThreadsComposeWithFunctionThreads) {
   // Both parallel axes at once: the per-function pool is shared with the
-  // region phase (AllocOptions::RegionPool) and the result must still match
+  // region phase (AllocOptions::Pool) and the result must still match
   // the fully serial run on a generated multi-function module.
   fuzz::ScaleProgramConfig C;
   C.Seed = 21;

@@ -309,51 +309,58 @@ TEST(FaultIsolation, RegionFaultUnderRegionThreads) {
   for (const auto &F : Baseline.Prog->functions())
     CleanCode.push_back(F->str());
 
-  for (unsigned RegionThreads : {2u, 4u}) {
-    CompileOptions Opts = Clean;
-    Opts.Alloc.RegionThreads = RegionThreads;
-    Opts.Alloc.RegionGrain = 1;
-    Opts.Alloc.FallbackOnError = true;
-    Opts.Alloc.VerifyAssignments = true;
-    Opts.Alloc.Faults = FaultPlan::fromString("region:2@pressure");
-    CompileResult CR = compileDegradable(MultiFunctionSource, Opts, Want);
-    ASSERT_TRUE(CR.ok());
-    ASSERT_EQ(CR.AllocOutcomes.size(), CleanCode.size());
-    for (size_t I = 0; I != CR.AllocOutcomes.size(); ++I) {
-      const AllocOutcome &O = CR.AllocOutcomes[I];
-      if (O.Function == "pressure") {
-        EXPECT_EQ(O.Status, AllocStatus::Fallback)
-            << "region threads=" << RegionThreads << ": " << O.Error;
-        EXPECT_EQ(O.ErrorKind, AllocErrorKind::InjectedFault);
-      } else {
-        EXPECT_EQ(O.Status, AllocStatus::Allocated)
-            << O.Function << " region threads=" << RegionThreads << ": "
-            << O.Error;
-        EXPECT_EQ(CR.Prog->functions()[I]->str(), CleanCode[I])
-            << O.Function
-            << " differs from fault-free serial run at region threads="
-            << RegionThreads;
+  // Threads=2 runs the region tasks nested inside function tasks on the
+  // allocator's one pool; Threads=1 submits them from the calling thread.
+  for (unsigned Threads : {1u, 2u})
+    for (unsigned RegionThreads : {2u, 4u}) {
+      CompileOptions Opts = Clean;
+      Opts.Alloc.Threads = Threads;
+      Opts.Alloc.RegionThreads = RegionThreads;
+      Opts.Alloc.RegionGrain = 1;
+      Opts.Alloc.FallbackOnError = true;
+      Opts.Alloc.VerifyAssignments = true;
+      Opts.Alloc.Faults = FaultPlan::fromString("region:2@pressure");
+      CompileResult CR = compileDegradable(MultiFunctionSource, Opts, Want);
+      ASSERT_TRUE(CR.ok());
+      ASSERT_EQ(CR.AllocOutcomes.size(), CleanCode.size());
+      for (size_t I = 0; I != CR.AllocOutcomes.size(); ++I) {
+        const AllocOutcome &O = CR.AllocOutcomes[I];
+        if (O.Function == "pressure") {
+          EXPECT_EQ(O.Status, AllocStatus::Fallback)
+              << "threads=" << Threads << " region threads=" << RegionThreads
+              << ": " << O.Error;
+          EXPECT_EQ(O.ErrorKind, AllocErrorKind::InjectedFault);
+        } else {
+          EXPECT_EQ(O.Status, AllocStatus::Allocated)
+              << O.Function << " threads=" << Threads
+              << " region threads=" << RegionThreads << ": " << O.Error;
+          EXPECT_EQ(CR.Prog->functions()[I]->str(), CleanCode[I])
+              << O.Function << " differs from fault-free serial run at "
+              << "threads=" << Threads << " region threads=" << RegionThreads;
+        }
       }
     }
-  }
 }
 
 TEST(FaultIsolation, RegionFaultStrictUnderRegionThreads) {
   // Strict mode with the same speculative-phase injection: the classic
   // rerun re-raises the fault as a structured error and the compile fails
   // deterministically.
-  CompileOptions Opts;
-  Opts.Allocator = AllocatorKind::Rap;
-  Opts.Alloc.K = 3;
-  Opts.Alloc.RegionThreads = 4;
-  Opts.Alloc.RegionGrain = 1;
-  Opts.Alloc.FallbackOnError = false;
-  Opts.Alloc.Faults = FaultPlan::fromString("region:2@pressure");
-  CompileResult CR = compileMiniC(MultiFunctionSource, Opts);
-  EXPECT_FALSE(CR.ok());
-  EXPECT_NE(CR.Errors.find("injected-fault in 'pressure'"),
-            std::string::npos)
-      << CR.Errors;
+  for (unsigned Threads : {1u, 2u}) {
+    CompileOptions Opts;
+    Opts.Allocator = AllocatorKind::Rap;
+    Opts.Alloc.K = 3;
+    Opts.Alloc.Threads = Threads;
+    Opts.Alloc.RegionThreads = 4;
+    Opts.Alloc.RegionGrain = 1;
+    Opts.Alloc.FallbackOnError = false;
+    Opts.Alloc.Faults = FaultPlan::fromString("region:2@pressure");
+    CompileResult CR = compileMiniC(MultiFunctionSource, Opts);
+    EXPECT_FALSE(CR.ok()) << "threads=" << Threads;
+    EXPECT_NE(CR.Errors.find("injected-fault in 'pressure'"),
+              std::string::npos)
+        << "threads=" << Threads << ": " << CR.Errors;
+  }
 }
 
 TEST(FaultIsolation, StrictModeFailsTheCompile) {

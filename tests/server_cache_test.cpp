@@ -119,7 +119,8 @@ TEST(ServerCache, WarmReplayIsByteIdenticalToCold) {
   ASSERT_EQ(Warm.Functions.size(), Cold.Functions.size());
   for (size_t I = 0; I != Warm.Functions.size(); ++I) {
     EXPECT_EQ(Warm.Functions[I].Fingerprint, Cold.Functions[I].Fingerprint);
-    EXPECT_EQ(Warm.Functions[I].Status, Cold.Functions[I].Status);
+    EXPECT_EQ(Warm.Functions[I].Outcome.Status,
+              Cold.Functions[I].Outcome.Status);
   }
 }
 

@@ -224,6 +224,75 @@ TEST(ServiceDeadline, DrainTokenCancelsRequests) {
   EXPECT_EQ(Service.counters().Cancelled, 1u);
 }
 
+TEST(ServiceDeadline, StalledWorkerTripsTheWatchdog) {
+  // The `stall` chaos site wedges the worker running the first miss past
+  // its request's deadline while ignoring the token; the shard pool's
+  // watchdog must catch it, and the request still answers.
+  ServiceConfig Config;
+  Config.Shards = 1;
+  Config.Chaos = FaultPlan::fromString("stall:1");
+  Config.ChaosStallMs = 200;
+  Config.Watchdog.Factor = 1;
+  Config.Watchdog.PollMs = 1;
+  CompileService Service(Config);
+  RequestOptions Opts;
+  Opts.K = 3;
+  Opts.DeadlineMs = 20;
+  ServiceResult Res = Service.compile(heavyModule(2), Opts);
+  EXPECT_EQ(Res.Status, ServiceStatus::DeadlineExceeded);
+  ServiceCounters C = Service.counters();
+  EXPECT_EQ(C.ChaosInjected, 1u);
+  EXPECT_GE(C.WatchdogTrips, 1u);
+  EXPECT_EQ(C.ShardsDegraded, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// CompileService when the fallback itself fails.
+//===----------------------------------------------------------------------===//
+
+TEST(ServiceFallback, FailedFallbackIsReportedAndTheRestIsServed) {
+  // At k=3 'wide' passes four distinct values to one call, and a call's
+  // sources must sit in registers together: neither allocator nor the
+  // spill-everything fallback can allocate it. The service must still
+  // answer, mark that function failed, and allocate the others.
+  const std::string Source = R"(
+int pick(int a, int b, int c, int d) { return a; }
+int wide(int x) {
+  int p = x + 1;
+  int q = x + 2;
+  int r = x + 3;
+  return pick(x, p, q, r);
+}
+int main() { return wide(1); }
+)";
+  ServiceConfig Config;
+  Config.Shards = 2;
+  CompileService Service(Config);
+  for (AllocatorKind Kind : {AllocatorKind::Rap, AllocatorKind::Gra}) {
+    RequestOptions Opts;
+    Opts.Allocator = Kind;
+    Opts.K = 3;
+    ServiceResult Res;
+    ASSERT_NO_THROW(Res = Service.compile(Source, Opts));
+    ASSERT_TRUE(Res.Ok) << Res.Errors;
+    EXPECT_EQ(Res.Status, ServiceStatus::Ok);
+    ASSERT_EQ(Res.Functions.size(), 3u);
+    EXPECT_EQ(Res.degraded(), 1u);
+    for (size_t I = 0; I != Res.Functions.size(); ++I) {
+      const FunctionReport &F = Res.Functions[I];
+      if (F.Name == "wide") {
+        EXPECT_EQ(F.Outcome.Status, AllocStatus::Failed);
+        EXPECT_NE(F.Outcome.Error.find("fallback failed"), std::string::npos)
+            << F.Outcome.Error;
+      } else {
+        EXPECT_EQ(F.Outcome.Status, AllocStatus::Allocated)
+            << F.Name << ": " << F.Outcome.Error;
+        EXPECT_TRUE(Res.Prog->functions()[I]->isAllocated()) << F.Name;
+      }
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // BoundedQueue close/pop races.
 //===----------------------------------------------------------------------===//
