@@ -327,16 +327,38 @@ PassStats runPass(const Trace &T, const ServerConfig &Base, bool Chaos) {
   return Stats;
 }
 
+/// Milliseconds one no-deadline compile of \p Source takes on a fresh
+/// server (so the probe's own request cannot hit its cache).
+double timedCompileMs(const ServerConfig &Config, const std::string &Source) {
+  Server S(Config);
+  auto T0 = std::chrono::steady_clock::now();
+  std::string Out = S.handleLine(compileRequest(1, Source, 0));
+  double Ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - T0)
+                  .count();
+  json::Value R;
+  if (!json::parse(Out, R, nullptr) || !R["ok"].asBool())
+    fatal("deadline probe sizing compile failed: %s", Out.c_str());
+  return Ms;
+}
+
 /// The 2x-deadline acceptance check: a deadline-bearing request over a
 /// module far too large for the budget must answer deadline-exceeded within
 /// 2x the deadline (cooperative cancellation costs at most one allocation
-/// round past expiry).
+/// round past expiry). The module doubles from 96 functions until an
+/// unbounded compile takes at least 4x the deadline where it runs.
 void checkDeadlineLatency(unsigned Shards) {
   ServerConfig Config;
   Config.Service.Shards = Shards;
-  Server S(Config);
-  std::vector<unsigned> Versions(96, 1);
   const uint64_t DeadlineMs = 200;
+  std::vector<unsigned> Versions(96, 1);
+  double UnboundedMs = timedCompileMs(Config, moduleSource(Versions));
+  while (UnboundedMs < 4.0 * static_cast<double>(DeadlineMs)) {
+    Versions.resize(Versions.size() * 2, 1);
+    UnboundedMs = timedCompileMs(Config, moduleSource(Versions));
+  }
+
+  Server S(Config);
   std::string Line = compileRequest(1, moduleSource(Versions), DeadlineMs);
   auto T0 = std::chrono::steady_clock::now();
   std::string Out = S.handleLine(Line);
@@ -349,18 +371,20 @@ void checkDeadlineLatency(unsigned Shards) {
   const std::string Kind =
       R["kind"].isString() ? R["kind"].asString() : "(ok)";
   if (R["ok"].asBool())
-    fatal("deadline probe compiled a 96-function module inside %llums; "
-          "enlarge the probe",
-          static_cast<unsigned long long>(DeadlineMs));
+    fatal("deadline probe compiled a %zu-function module inside %llums "
+          "(unbounded: %.1fms)",
+          Versions.size(), static_cast<unsigned long long>(DeadlineMs),
+          UnboundedMs);
   if (Kind != "deadline-exceeded")
     fatal("deadline probe answered kind '%s'", Kind.c_str());
   if (ElapsedMs > 2.0 * static_cast<double>(DeadlineMs))
     fatal("deadline-exceeded took %.1fms, over 2x the %llums deadline",
           ElapsedMs, static_cast<unsigned long long>(DeadlineMs));
   std::fprintf(stderr,
-               "deadline probe: deadline-exceeded in %.1fms (budget %llums, "
-               "bound %.0fms)\n",
-               ElapsedMs, static_cast<unsigned long long>(DeadlineMs),
+               "deadline probe: %zu functions (unbounded %.1fms), "
+               "deadline-exceeded in %.1fms (budget %llums, bound %.0fms)\n",
+               Versions.size(), UnboundedMs, ElapsedMs,
+               static_cast<unsigned long long>(DeadlineMs),
                2.0 * static_cast<double>(DeadlineMs));
 }
 

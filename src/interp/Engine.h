@@ -81,8 +81,9 @@ struct Engine {
     CellTop += Win;
     if (CellTop > Cells.size())
       Cells.resize(CellTop);
-    std::memset(static_cast<void *>(Cells.data() + Fr.Base), 0,
-                Win * sizeof(RtValue));
+    if (Win != 0) // Cells may still be empty (null data())
+      std::memset(static_cast<void *>(Cells.data() + Fr.Base), 0,
+                  Win * sizeof(RtValue));
     Stack.push_back(Fr);
   }
 

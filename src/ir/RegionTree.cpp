@@ -6,6 +6,8 @@
 
 #include "ir/RegionTree.h"
 
+#include <algorithm>
+
 using namespace rap;
 
 std::vector<Instr *> PdgNode::parentCode() const {
@@ -41,4 +43,17 @@ std::vector<PdgNode *> PdgNode::subregions() const {
     }
   }
   return Out;
+}
+
+void PdgNode::eraseInstrs(const std::set<Instr *> &Dead) {
+  if (Dead.empty())
+    return;
+  forEachNode([&](const PdgNode *CN) {
+    auto *N = const_cast<PdgNode *>(CN);
+    if (!N->isStatement() && !N->isPredicate())
+      return;
+    N->Code.erase(std::remove_if(N->Code.begin(), N->Code.end(),
+                                 [&](Instr *I) { return Dead.count(I) != 0; }),
+                  N->Code.end());
+  });
 }

@@ -27,6 +27,7 @@
 
 #include <cassert>
 #include <functional>
+#include <set>
 #include <vector>
 
 namespace rap {
@@ -163,6 +164,10 @@ public:
     for (const PdgNode *C : Children)
       C->forEachNode(Fn);
   }
+
+  /// Removes every instruction in \p Dead from the statement and predicate
+  /// condition code of the subtree rooted here.
+  void eraseInstrs(const std::set<Instr *> &Dead);
 
 private:
   PdgNodeKind Kind;

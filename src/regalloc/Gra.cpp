@@ -23,8 +23,8 @@
 #include "regalloc/Coalesce.h"
 #include "regalloc/Coloring.h"
 #include "regalloc/InterferenceGraph.h"
-#include "regalloc/Peephole.h"
 #include "regalloc/PhysicalRewrite.h"
+#include "regalloc/SpillCleanup.h"
 #include "regalloc/SpillEverything.h"
 #include "support/ShardPool.h"
 #include "support/Stats.h"
@@ -108,7 +108,7 @@ public:
         RoundPhase.finish();
         Stats.CopiesDeleted = rewriteToPhysical(F, G, Options.K, TS);
         if (Options.PeepholeForGra) {
-          PeepholeResult PR = peepholeSpillCleanup(F, TS);
+          SpillCleanupResult PR = peepholeSpillCleanup(F, TS);
           Stats.PeepholeRemovedLoads = PR.RemovedLoads;
           Stats.PeepholeRemovedStores = PR.RemovedStores;
           Stats.PeepholeLoadsToCopies = PR.LoadsToCopies;

@@ -11,9 +11,8 @@
 #include "regalloc/AssignmentVerifier.h"
 #include "regalloc/Coalesce.h"
 #include "regalloc/Coloring.h"
-#include "regalloc/GlobalSpillCleanup.h"
-#include "regalloc/Peephole.h"
 #include "regalloc/PhysicalRewrite.h"
+#include "regalloc/SpillCleanup.h"
 #include "regalloc/SpillCodeMovement.h"
 #include "support/Env.h"
 #include "support/ShardPool.h"
@@ -1038,13 +1037,13 @@ AllocStats RapAllocator::run() {
   Stats.CopiesDeleted = rewriteToPhysical(F, Final, Options.K, TS);
 
   if (Options.Peephole) {
-    PeepholeResult PR = peepholeSpillCleanup(F, TS);
+    SpillCleanupResult PR = peepholeSpillCleanup(F, TS);
     Stats.PeepholeRemovedLoads = PR.RemovedLoads;
     Stats.PeepholeRemovedStores = PR.RemovedStores;
     Stats.PeepholeLoadsToCopies = PR.LoadsToCopies;
   }
   if (Options.GlobalCleanup) {
-    GlobalCleanupResult GR = globalSpillCleanup(F, TS);
+    SpillCleanupResult GR = globalSpillCleanup(F, TS);
     Stats.CleanupRemovedLoads = GR.RemovedLoads + GR.LoadsToCopies;
     Stats.CleanupRemovedStores = GR.RemovedStores;
   }

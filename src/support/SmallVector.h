@@ -107,7 +107,8 @@ public:
     size_t Want = static_cast<size_t>(Last - First);
     if (Want > Cap)
       growTo(Want);
-    std::memcpy(Ptr, First, Want * sizeof(T));
+    if (Want != 0) // an empty vector may have a null Ptr
+      std::memcpy(Ptr, First, Want * sizeof(T));
     Count = static_cast<uint32_t>(Want);
   }
 

@@ -1,4 +1,4 @@
-//===- tests/cfg_test.cpp - CFG, dominators, loops, liveness ------------------===//
+//===- tests/cfg_test.cpp - CFG, dominators, liveness ------------------------===//
 //
 // Part of the RAP reproduction of Norris & Pollock, PLDI 1994.
 //
@@ -9,7 +9,6 @@
 #include "cfg/Cfg.h"
 #include "cfg/Dominators.h"
 #include "cfg/Liveness.h"
-#include "cfg/LoopInfo.h"
 #include "ir/Linearize.h"
 
 #include "gtest/gtest.h"
@@ -123,29 +122,6 @@ TEST(Dominators, LoopHeaderDominatesBody) {
   DominatorTree Dom(G, false);
   EXPECT_TRUE(Dom.dominates(1, 2));
   EXPECT_FALSE(Dom.dominates(2, 1));
-}
-
-TEST(LoopInfo, FindsNaturalLoopsAndDepths) {
-  Built B = build(R"(
-    int main() {
-      int s = 0;
-      for (int i = 0; i < 3; i = i + 1) {
-        for (int j = 0; j < 3; j = j + 1) {
-          s = s + i * j;
-        }
-      }
-      return s;
-    }
-  )");
-  Cfg G(B.Code);
-  DominatorTree Dom(G, false);
-  LoopInfo LI(G, Dom);
-  ASSERT_EQ(LI.loops().size(), 2u);
-  unsigned MaxDepth = 0;
-  for (unsigned Blk = 0; Blk != G.numBlocks(); ++Blk)
-    MaxDepth = std::max(MaxDepth, LI.loopDepth(Blk));
-  EXPECT_EQ(MaxDepth, 2u) << "the inner body nests two deep";
-  EXPECT_EQ(LI.loopDepth(0), 0u) << "entry is in no loop";
 }
 
 TEST(Liveness, StraightLineKillAndUse) {

@@ -6,13 +6,14 @@
 ///
 /// \file
 /// Unit tests for the dataflow spill cleanup (cross-block reload removal,
-/// dead spill-store elimination) and the independent assignment verifier.
+/// dead spill-store elimination), the block-local scope of the same engine,
+/// and the independent assignment verifier.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ir/Linearize.h"
 #include "regalloc/AssignmentVerifier.h"
-#include "regalloc/GlobalSpillCleanup.h"
+#include "regalloc/SpillCleanup.h"
 
 #include "gtest/gtest.h"
 
@@ -90,9 +91,24 @@ TEST(GlobalCleanup, CrossBlockRedundantReloadRemoved) {
   B.emit(B.Join, Opcode::LdSpill, 1, {}, 0);
   B.emit(B.Join, Opcode::Ret, NoReg, {1});
   B.F.setAllocated(4);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
+  SpillCleanupResult R = globalSpillCleanup(B.F);
   EXPECT_EQ(R.RemovedLoads, 1u);
   EXPECT_EQ(B.countOps(Opcode::LdSpill), 1u);
+}
+
+TEST(GlobalCleanup, PeepholeKeepsCrossBlockReload) {
+  // The same input as CrossBlockRedundantReloadRemoved: the Figure 6 scope
+  // starts every block from "nothing available", so the join reload stays.
+  DiamondBuilder B;
+  B.emit(B.Entry, Opcode::LdSpill, 1, {}, 0);
+  B.emit(B.Then, Opcode::Add, 2, {1, 1});
+  B.emit(B.Join, Opcode::LdSpill, 1, {}, 0);
+  B.emit(B.Join, Opcode::Ret, NoReg, {1});
+  B.F.setAllocated(4);
+  SpillCleanupResult R = peepholeSpillCleanup(B.F);
+  EXPECT_EQ(R.RemovedLoads, 0u);
+  EXPECT_EQ(R.LoadsToCopies, 0u);
+  EXPECT_EQ(B.countOps(Opcode::LdSpill), 2u);
 }
 
 TEST(GlobalCleanup, ReloadKeptWhenOnePathInvalidates) {
@@ -103,7 +119,7 @@ TEST(GlobalCleanup, ReloadKeptWhenOnePathInvalidates) {
   B.emit(B.Join, Opcode::LdSpill, 1, {}, 0); // must stay
   B.emit(B.Join, Opcode::Ret, NoReg, {1});
   B.F.setAllocated(4);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
+  SpillCleanupResult R = globalSpillCleanup(B.F);
   EXPECT_EQ(R.RemovedLoads, 0u);
   EXPECT_EQ(B.countOps(Opcode::LdSpill), 2u);
 }
@@ -116,7 +132,7 @@ TEST(GlobalCleanup, ReloadKeptWhenRegisterClobberedOnOnePath) {
   B.emit(B.Join, Opcode::LdSpill, 1, {}, 0); // must stay
   B.emit(B.Join, Opcode::Ret, NoReg, {1});
   B.F.setAllocated(4);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
+  SpillCleanupResult R = globalSpillCleanup(B.F);
   EXPECT_EQ(R.RemovedLoads, 0u);
 }
 
@@ -127,7 +143,7 @@ TEST(GlobalCleanup, DeadStoreRemoved) {
   B.emit(B.Entry, Opcode::StSpill, NoReg, {1}, 2);
   B.emit(B.Join, Opcode::Ret, NoReg, {1});
   B.F.setAllocated(4);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
+  SpillCleanupResult R = globalSpillCleanup(B.F);
   EXPECT_EQ(R.RemovedStores, 1u);
   EXPECT_EQ(B.countOps(Opcode::StSpill), 0u);
 }
@@ -139,7 +155,7 @@ TEST(GlobalCleanup, StoreKeptWhenAnyPathReads) {
   B.emit(B.Then, Opcode::LdSpill, 3, {}, 2); // reads on the then path
   B.emit(B.Join, Opcode::Ret, NoReg, {1});
   B.F.setAllocated(4);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
+  SpillCleanupResult R = globalSpillCleanup(B.F);
   EXPECT_EQ(B.countOps(Opcode::StSpill), 1u);
   EXPECT_EQ(B.countOps(Opcode::LdSpill), 1u);
   (void)R;
@@ -152,7 +168,7 @@ TEST(GlobalCleanup, OverwrittenStoreIsDead) {
   B.emit(B.Join, Opcode::LdSpill, 3, {}, 2);
   B.emit(B.Join, Opcode::Ret, NoReg, {3});
   B.F.setAllocated(4);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
+  SpillCleanupResult R = globalSpillCleanup(B.F);
   // The first store dies; the second feeds the load... which then makes r3
   // a copy of r2 (the value is still in a register), freeing the second
   // store too on the next fixpoint round. Net: at most one spill op left.
@@ -166,7 +182,7 @@ TEST(GlobalCleanup, LoadBecomesCopyWhenValueInOtherRegister) {
   B.emit(B.Join, Opcode::LdSpill, 3, {}, 1); // value still in r2
   B.emit(B.Join, Opcode::Ret, NoReg, {3});
   B.F.setAllocated(4);
-  GlobalCleanupResult R = globalSpillCleanup(B.F);
+  SpillCleanupResult R = globalSpillCleanup(B.F);
   EXPECT_EQ(R.LoadsToCopies, 1u);
   EXPECT_EQ(B.countOps(Opcode::Mv), 1u);
 }

@@ -12,7 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Linearize.h"
-#include "regalloc/Peephole.h"
+#include "regalloc/SpillCleanup.h"
 
 #include "gtest/gtest.h"
 
@@ -71,7 +71,7 @@ struct FuncBuilder {
     return I;
   }
 
-  PeepholeResult finish() {
+  SpillCleanupResult finish() {
     F.setAllocated(4);
     return peepholeSpillCleanup(F);
   }
@@ -90,7 +90,7 @@ TEST(PeepholeFig6, Pattern1DuplicateLoadRemoved) {
   B.add(3, 2, 2); // uses r2, no redef
   B.ldm(2, 0);    // redundant
   B.ret(2);
-  PeepholeResult R = B.finish();
+  SpillCleanupResult R = B.finish();
   EXPECT_EQ(R.RemovedLoads, 1u);
   EXPECT_EQ(B.opcodes(), (std::vector<Opcode>{Opcode::LdSpill, Opcode::Add,
                                               Opcode::Ret}));
@@ -102,7 +102,7 @@ TEST(PeepholeFig6, Pattern2LoadToOtherRegisterBecomesCopy) {
   B.ldm(3, 0); // same slot, different register -> mv r3, r2
   B.add(1, 2, 3);
   B.ret(1);
-  PeepholeResult R = B.finish();
+  SpillCleanupResult R = B.finish();
   EXPECT_EQ(R.LoadsToCopies, 1u);
   auto Ops = B.opcodes();
   ASSERT_EQ(Ops.size(), 4u);
@@ -115,7 +115,7 @@ TEST(PeepholeFig6, Pattern3StoreBackRemoved) {
   B.add(3, 2, 2);
   B.stm(0, 2); // stores the value the slot already has
   B.ret(3);
-  PeepholeResult R = B.finish();
+  SpillCleanupResult R = B.finish();
   EXPECT_EQ(R.RemovedStores, 1u);
 }
 
@@ -125,7 +125,7 @@ TEST(PeepholeFig6, Pattern4ReloadAfterStoreRemoved) {
   B.add(3, 2, 2);
   B.ldm(2, 0); // r2 still holds the stored value
   B.ret(2);
-  PeepholeResult R = B.finish();
+  SpillCleanupResult R = B.finish();
   EXPECT_EQ(R.RemovedLoads, 1u);
 }
 
@@ -135,7 +135,7 @@ TEST(PeepholeFig6, Pattern5StoreThroughCopyRemoved) {
   B.mv(3, 2); // r3 = r2: both hold the slot's value
   B.stm(0, 3);
   B.ret(3);
-  PeepholeResult R = B.finish();
+  SpillCleanupResult R = B.finish();
   EXPECT_EQ(R.RemovedStores, 1u);
 }
 
@@ -145,7 +145,7 @@ TEST(PeepholeFig6, RedefinitionBlocksLoadRemoval) {
   B.add(2, 2, 2); // redefines r2
   B.ldm(2, 0);    // must stay
   B.ret(2);
-  PeepholeResult R = B.finish();
+  SpillCleanupResult R = B.finish();
   EXPECT_EQ(R.RemovedLoads, 0u);
   EXPECT_EQ(R.LoadsToCopies, 0u);
 }
@@ -156,7 +156,7 @@ TEST(PeepholeFig6, InterveningStoreBlocksRemoval) {
   B.stm(0, 3); // the slot changes; r2 is stale
   B.ldm(2, 0); // must stay
   B.ret(2);
-  PeepholeResult R = B.finish();
+  SpillCleanupResult R = B.finish();
   EXPECT_EQ(R.RemovedLoads, 0u);
 }
 
@@ -166,7 +166,7 @@ TEST(PeepholeFig6, DifferentSlotsDoNotAlias) {
   B.ldm(3, 1); // a different slot: no rewrite possible
   B.add(1, 2, 3);
   B.ret(1);
-  PeepholeResult R = B.finish();
+  SpillCleanupResult R = B.finish();
   EXPECT_EQ(R.RemovedLoads + R.LoadsToCopies + R.RemovedStores, 0u);
 }
 
@@ -177,7 +177,7 @@ TEST(PeepholeFig6, CopyChainPropagatesEquivalence) {
   B.mv(1, 3);
   B.ldm(1, 0); // r1 already holds the value via the copy chain
   B.ret(1);
-  PeepholeResult R = B.finish();
+  SpillCleanupResult R = B.finish();
   EXPECT_EQ(R.RemovedLoads, 1u);
 }
 
