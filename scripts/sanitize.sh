@@ -7,8 +7,8 @@
 #     exceptions that cross module boundaries, so an instrumented run is the
 #     cheapest way to prove the error paths neither leak nor touch freed IR.
 #   tsan — ThreadSanitizer over the concurrency-bearing subset (shard pool,
-#     bounded queue, compile service, server drain, parallel allocation and
-#     its fault isolation).
+#     compile service, server drain, parallel allocation and its fault
+#     isolation).
 #     The crash-only serving layer (DESIGN.md §13) lives and dies by the
 #     ordering between workers, the drain watcher, the watchdog, and the
 #     serve loop; TSan is the referee.
@@ -47,7 +47,7 @@ if [ "$MODE" = tsan ]; then
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
     --no-tests=error \
-    -R '^(Server|Shard|BoundedQueue|Service|Deadline|AllocBudget|ParallelDeterminism|FaultIsolation)'
+    -R '^(Server|Shard|Service|Deadline|AllocBudget|ParallelDeterminism|FaultIsolation)'
 else
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"

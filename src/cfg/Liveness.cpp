@@ -8,6 +8,7 @@
 
 #include "support/Env.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace rap;
@@ -81,17 +82,27 @@ void Liveness::refine(const LinearCode &Code, const Cfg &G,
   Reshape(Before, N + 1);
   Reshape(After, N);
   BitVector Live;
+  MaxLive = 0;
   for (unsigned B = 0, E = G.numBlocks(); B != E; ++B) {
     const BasicBlock &BB = G.block(B);
     Live = Out[B];
+    // The live count follows the transfer function's bit flips, so a block
+    // costs one popcount rather than one per position.
+    unsigned Count = Live.count();
     for (unsigned P = BB.End; P-- > BB.Begin;) {
       const Instr *I = Code.Instrs[P];
       After[P] = Live;
-      if (I->hasDef())
+      if (I->hasDef() && Live.test(I->Dst)) {
         Live.reset(I->Dst);
+        --Count;
+      }
       for (Reg R : I->Src)
-        Live.set(R);
+        if (!Live.test(R)) {
+          Live.set(R);
+          ++Count;
+        }
       Before[P] = Live;
+      MaxLive = std::max(MaxLive, Count);
     }
     assert(Live == In[B] && "per-instruction refinement disagrees with "
                             "block-level dataflow");

@@ -72,6 +72,10 @@ public:
     return Before[Region.LinEnd];
   }
 
+  /// Most registers live before any one position. RAP's speculative
+  /// region-parallel round (DESIGN.md §14) runs only when this is at most k.
+  unsigned maxLive() const { return MaxLive; }
+
   /// True when the last construction reused a previous block solution
   /// instead of solving from scratch (exposed for tests).
   bool reusedPreviousSolution() const { return WarmStarted; }
@@ -101,6 +105,7 @@ private:
   /// Successor lists snapshot: a warm start additionally requires identical
   /// edges, not just an identical block count.
   std::vector<std::vector<unsigned>> Succs;
+  unsigned MaxLive = 0;
   bool WarmStarted = false;
 };
 

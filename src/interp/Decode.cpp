@@ -133,24 +133,14 @@ const char *rap::interp::dopName(DOp Op) {
     return "mul_add";
   case DOp::AddLdIdx:
     return "add_ldx";
-  case DOp::AddMv:
-    return "add_mv";
-  case DOp::MvJmp:
-    return "mv_jmp";
   case DOp::LdIdxLoadI:
     return "ldx_loadi";
-  case DOp::LoadILdSpill:
-    return "loadi_ldm";
   case DOp::LoadIStIdx:
     return "loadi_stx";
   case DOp::StIdxLoadI:
     return "stx_loadi";
-  case DOp::LoadImm2:
-    return "loadi_loadi";
   case DOp::LdSpillAdd:
     return "ldm_add";
-  case DOp::LdSpillMul:
-    return "ldm_mul";
   case DOp::LoadIAddMvJmp:
     return "loadi_add_mv_jmp";
   case DOp::LoadILdSpillMulAdd:
@@ -163,12 +153,6 @@ const char *rap::interp::dopName(DOp Op) {
     return "ldg_loadi_add_stg";
   case DOp::LdGlobCmpLTCbr:
     return "ldg_cmp_lt_cbr";
-  case DOp::LdIdx2:
-    return "ldx_ldx";
-  case DOp::LdIdxStIdx:
-    return "ldx_stx";
-  case DOp::StIdx2:
-    return "stx_stx";
   }
   return "unknown";
 }
@@ -198,7 +182,6 @@ bool endsStretch(DOp Op) {
   case DOp::LoadICmpLECbr:
   case DOp::LoadICmpGTCbr:
   case DOp::LoadICmpGECbr:
-  case DOp::MvJmp:
   case DOp::LoadIAddMvJmp:
   case DOp::AddMvJmp:
   case DOp::LdGlobCmpLTCbr:
@@ -451,29 +434,11 @@ void scaleOffsets(DecOp &D) {
     R(D.B);
     R(D.Y); // X is a global address: unscaled
     break;
-  case DOp::AddMv:
-    R(D.Dst);
-    R(D.A);
-    R(D.B);
-    R(D.X);
-    R(D.Aux);
-    break;
-  case DOp::MvJmp:
-    R(D.Dst);
-    R(D.A);
-    T(D.Aux);
-    break;
   case DOp::LdIdxLoadI:
     R(D.Dst);
     R(D.A);
     R(D.Y);
     C(D.Aux); // X is a global address: unscaled
-    break;
-  case DOp::LoadILdSpill:
-    R(D.Dst);
-    S(D.X);
-    R(D.Y);
-    C(D.Aux);
     break;
   case DOp::LoadIStIdx:
   case DOp::StIdxLoadI:
@@ -482,14 +447,7 @@ void scaleOffsets(DecOp &D) {
     R(D.Y);
     C(D.Aux); // X is a global address: unscaled
     break;
-  case DOp::LoadImm2:
-    R(D.Dst);
-    C(D.Aux);
-    R(D.Y);
-    C(D.B);
-    break;
   case DOp::LdSpillAdd:
-  case DOp::LdSpillMul:
     R(D.Dst);
     R(D.A);
     R(D.B);
@@ -542,24 +500,6 @@ void scaleOffsets(DecOp &D) {
     T(D.Aux);
     T(D.X);
     R(D.Z); // Y is a global address: unscaled
-    break;
-  case DOp::LdIdx2:
-    R(D.Dst);
-    R(D.A);
-    R(D.Y);
-    R(D.B); // X, Aux are global addresses: unscaled
-    break;
-  case DOp::LdIdxStIdx:
-    R(D.Dst);
-    R(D.A);
-    R(D.B);
-    R(D.Z); // X, Aux are global addresses: unscaled
-    break;
-  case DOp::StIdx2:
-    R(D.A);
-    R(D.B);
-    R(D.Y);
-    R(D.Z); // X, Aux are global addresses: unscaled
     break;
   }
 }
@@ -928,11 +868,11 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
     }
 
     // Hot adjacent pairs from the dynamic digram profile of the Table 1
-    // corpus (address arithmetic feeding indexed memory ops, loop-latch
-    // copies, immediate loads next to memory ops). Beyond the data
-    // dependences noted per pattern, adjacency is the only requirement:
-    // each fused handler performs both components' writes in original
-    // order, so independent neighbors fuse too.
+    // corpus (address arithmetic feeding indexed memory ops, immediate
+    // loads next to indexed memory ops, a reload next to an add). Beyond
+    // the data dependences noted per pattern, adjacency is the only
+    // requirement: each fused handler performs both components' writes in
+    // original order, so independent neighbors fuse too.
     if (I + 1 < N && !IsTarget[I + 1]) {
       const Instr *Nx = Code.Instrs[I + 1];
       bool Fused = true;
@@ -956,18 +896,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
         D.B = In->Src[1];
         D.X = Nx->Addr;
         D.Y = static_cast<int32_t>(In->Dst);
-      } else if (In->Op == Opcode::Add && Nx->Op == Opcode::Mv) {
-        D.Op = DOp::AddMv;
-        D.Dst = Nx->Dst;
-        D.A = In->Src[0];
-        D.B = In->Src[1];
-        D.X = static_cast<int32_t>(In->Dst);
-        D.Aux = Nx->Src[0];
-      } else if (In->Op == Opcode::Mv && Nx->Op == Opcode::Jmp) {
-        D.Op = DOp::MvJmp;
-        D.Dst = In->Dst;
-        D.A = In->Src[0];
-        D.Aux = static_cast<uint32_t>(Nx->Label0); // remapped below
       } else if (In->Op == Opcode::LdIdx && isImmLoad(Nx->Op)) {
         D.Op = DOp::LdIdxLoadI;
         D.Dst = In->Dst;
@@ -975,12 +903,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
         D.X = In->Addr;
         D.Y = static_cast<int32_t>(Nx->Dst);
         D.Aux = internConst(Nx->Imm);
-      } else if (isImmLoad(In->Op) && Nx->Op == Opcode::LdSpill) {
-        D.Op = DOp::LoadILdSpill;
-        D.Dst = Nx->Dst;
-        D.X = Nx->Slot;
-        D.Y = static_cast<int32_t>(In->Dst);
-        D.Aux = internConst(In->Imm);
       } else if (isImmLoad(In->Op) && Nx->Op == Opcode::StIdx) {
         D.Op = DOp::LoadIStIdx;
         D.A = Nx->Src[0];
@@ -995,49 +917,15 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
         D.X = In->Addr;
         D.Y = static_cast<int32_t>(Nx->Dst);
         D.Aux = internConst(Nx->Imm);
-      } else if (isImmLoad(In->Op) && isImmLoad(Nx->Op)) {
-        D.Op = DOp::LoadImm2;
-        D.Dst = In->Dst;
-        D.Aux = internConst(In->Imm);
-        D.Y = static_cast<int32_t>(Nx->Dst);
-        D.B = internConst(Nx->Imm);
-      } else if (In->Op == Opcode::LdSpill &&
-                 (Nx->Op == Opcode::Add || Nx->Op == Opcode::Mul)) {
-        // Spill reload next to the arithmetic it usually feeds (falls out
-        // of the triple pattern when no store follows).
-        D.Op = Nx->Op == Opcode::Add ? DOp::LdSpillAdd : DOp::LdSpillMul;
+      } else if (In->Op == Opcode::LdSpill && Nx->Op == Opcode::Add) {
+        // Spill reload next to the add it usually feeds (falls out of the
+        // triple pattern when no store follows).
+        D.Op = DOp::LdSpillAdd;
         D.Dst = Nx->Dst;
         D.A = Nx->Src[0];
         D.B = Nx->Src[1];
         D.Aux = In->Dst;
         D.X = In->Slot;
-      } else if (In->Op == Opcode::LdIdx && Nx->Op == Opcode::LdIdx) {
-        // Back-to-back indexed memory ops: unrolled array reads/writes and
-        // element swaps. The second op's operands are read after the first
-        // op's writes, so dependent neighbors are handled naturally.
-        D.Op = DOp::LdIdx2;
-        D.Dst = In->Dst;
-        D.A = In->Src[0];
-        D.X = In->Addr;
-        D.Y = static_cast<int32_t>(Nx->Dst);
-        D.B = Nx->Src[0];
-        D.Aux = static_cast<uint32_t>(Nx->Addr);
-      } else if (In->Op == Opcode::LdIdx && Nx->Op == Opcode::StIdx) {
-        D.Op = DOp::LdIdxStIdx;
-        D.Dst = In->Dst;
-        D.A = In->Src[0];
-        D.X = In->Addr;
-        D.B = Nx->Src[0];
-        D.Z = static_cast<int32_t>(Nx->Src[1]);
-        D.Aux = static_cast<uint32_t>(Nx->Addr);
-      } else if (In->Op == Opcode::StIdx && Nx->Op == Opcode::StIdx) {
-        D.Op = DOp::StIdx2;
-        D.A = In->Src[0];
-        D.B = In->Src[1];
-        D.X = In->Addr;
-        D.Y = static_cast<int32_t>(Nx->Src[0]);
-        D.Z = static_cast<int32_t>(Nx->Src[1]);
-        D.Aux = static_cast<uint32_t>(Nx->Addr);
       } else {
         Fused = false;
       }
@@ -1203,9 +1091,6 @@ DecodedFunc rap::interp::decodeFunction(const IlocProgram &Prog,
     case DOp::LoadICmpGECbr:
       D.Aux = decTarget(D.Aux);
       D.B = decTarget(D.B);
-      break;
-    case DOp::MvJmp:
-      D.Aux = decTarget(D.Aux);
       break;
     case DOp::LoadIAddMvJmp:
       D.B = decTarget(D.B);

@@ -16,11 +16,8 @@
 ///   * loadI + int op       (immediate operands)
 ///   * ldm + int op + stm   (the spill triple the allocators emit around
 ///                           memory-resident values)
-///   * hot adjacent pairs   (mul+add address math, add+ldx, add+mv, mv+jmp
-///                           loop latches, ldx/stx+loadI, loadI+ldm/stx,
-///                           loadI+loadI, ldm+add/mul, ldx+ldx, ldx+stx,
-///                           stx+stx — chosen from the dynamic digram
-///                           profile of the Table 1 corpus)
+///   * hot adjacent pairs   (mul+add address math, add+ldx, ldx/stx+loadI,
+///                           loadI+stx, ldm+add)
 ///   * 3-4 instr chains     (loadI+add+mv+jmp loop latches,
 ///                           loadI+ldm+mul+add spill address math,
 ///                           mul+add+ldx indexed loads, add+mv+jmp,
@@ -30,6 +27,10 @@
 ///                           that later components consume stay in host
 ///                           registers instead of round-tripping through
 ///                           the frame)
+///
+/// A family stays only while it removes at least 0.5% of the dispatches the
+/// Table 1 workload would make with no fusion at all (DESIGN.md §11); the
+/// spill triple is the one exception, kept for its telemetry accessor.
 ///
 /// Fusion never changes observable behavior: fused ops still perform every
 /// component's register write, charge every component's cycle and memory
@@ -129,25 +130,17 @@ namespace rap::interp {
   /* superinstructions: hot adjacent pairs of the Table 1 corpus */            \
   X(MulAdd)      /* mul feeding one add operand (array address math) */        \
   X(AddLdIdx)    /* add feeding an indexed load's offset */                    \
-  X(AddMv)       /* add, then any register copy */                             \
-  X(MvJmp)       /* loop-latch copy + back edge; ends a stretch */             \
   X(LdIdxLoadI)  /* indexed load, then any immediate load */                   \
-  X(LoadILdSpill) /* immediate load, then a spill reload */                    \
   X(LoadIStIdx)  /* immediate load, then an indexed store */                   \
   X(StIdxLoadI)  /* indexed store, then any immediate load */                  \
-  X(LoadImm2)    /* two adjacent immediate loads */                            \
   X(LdSpillAdd)  /* spill reload, then an add */                               \
-  X(LdSpillMul)  /* spill reload, then a mul */                                \
   /* superinstructions: longer chains; intermediates stay in host registers */ \
   X(LoadIAddMvJmp)     /* loop latch: i' = i + c ; i = i' ; jmp head */        \
   X(LoadILdSpillMulAdd) /* addr math: c * spilled ; + base */                  \
   X(MulAddLdIdx)       /* a[i*w + j] indexed load */                           \
   X(AddMvJmp)          /* add, copy, back edge; ends a stretch */              \
   X(LdGlobLoadIAddStGlob) /* global increment: g' = g + c */                   \
-  X(LdGlobCmpLTCbr)    /* global load feeding a < test; ends a stretch */      \
-  X(LdIdx2)            /* two adjacent indexed loads */                        \
-  X(LdIdxStIdx)        /* indexed load, then indexed store */                  \
-  X(StIdx2)            /* two adjacent indexed stores */
+  X(LdGlobCmpLTCbr)    /* global load feeding a < test; ends a stretch */
 
 enum class DOp : uint8_t {
 #define RAP_DOP_ENUM(N) N,
@@ -188,20 +181,13 @@ const char *dopName(DOp Op);
 ///                  Y = the add's other operand
 ///   AddLdIdx       Dst = load dst; A, B = add operands; X = addr,
 ///                  Y = add dst (the load's offset)
-///   AddMv          Dst = mv dst; A, B = add operands; X = add dst,
-///                  Aux = mv src
-///   MvJmp          Dst, A (the mv); Aux = target
 ///   LdIdxLoadI     Dst, A = index; X = addr; Y = loadI dst,
-///                  Aux = constant-pool index
-///   LoadILdSpill   Dst = ldm dst; X = slot; Y = loadI dst,
 ///                  Aux = constant-pool index
 ///   LoadIStIdx     A = index, B = value; X = addr; Y = loadI dst,
 ///                  Aux = constant-pool index
 ///   StIdxLoadI     A = index, B = value; X = addr; Y = loadI dst,
 ///                  Aux = constant-pool index
-///   LoadImm2       Dst; Aux = constant-pool index (first load);
-///                  Y = second dst, B = second constant-pool index
-///   LdSpillOpXX    Dst, A, B (the op); Aux = the ldm's dst reg, X = slot
+///   LdSpillAdd     Dst, A, B (the add); Aux = the ldm's dst reg, X = slot
 ///   LoadIAddMvJmp  Aux = constant-pool index, X = loadI dst; A = the add's
 ///                  other operand (the add must use the loadI dst),
 ///                  Dst = add dst; Y = mv dst (mv src == add dst);
@@ -223,12 +209,6 @@ const char *dopName(DOp Op);
 ///                  B = stg address (stg src == add dst)
 ///   LdGlobCmpLTCbr Y = ldg address, Z = ldg dst; Dst, A, B (the compare);
 ///                  Aux = true target, X = false target
-///   LdIdx2         Dst, A (off), X (addr) = first load;
-///                  Y, B (off), Aux (addr) = second load
-///   LdIdxStIdx     Dst, A (off), X (addr) = the load;
-///                  B (off), Z (value), Aux (addr) = the store
-///   StIdx2         A (off), B (value), X (addr) = first store;
-///                  Y (off), Z (value), Aux (addr) = second store
 struct DecOp {
   DOp Op = DOp::Halt;
   /// Original instructions this op covers (1..4; 0 for the sentinel).
@@ -239,8 +219,7 @@ struct DecOp {
   uint32_t Aux = 0;
   int32_t X = 0;
   int32_t Y = 0;
-  /// Seventh operand field, used only by the four-instruction chains and
-  /// MulAddLdIdx/AddMvJmp above.
+  /// Seventh operand field, used only by the 3-4 instruction chains above.
   int32_t Z = 0;
   /// Linear position of the first covered instruction (== LinearCode size
   /// for the sentinel). Traps report LinPos + component index; the fuel

@@ -146,6 +146,19 @@ using namespace rap::interp;
     return;                                                                    \
   } while (0)
 
+/// Bounds-check an indexed access to the global array at \p Base with offset
+/// \p Off, trapping at linear position \p LinPC with the reference engine's
+/// message when it falls outside the array. \p Access is the literal "load"
+/// or "store".
+#define VM_CHECK_INDEX(Off, Base, LinPC, Access)                               \
+  do {                                                                         \
+    const int End_ = GEnd[(Base)];                                             \
+    if ((Off) < 0 || End_ < 0 || (Base) + (Off) >= End_)                       \
+      VM_FAIL(OutOfBounds, (LinPC),                                            \
+              "array " Access " out of bounds (index " +                       \
+                  std::to_string(Off) + ")");                                  \
+  } while (0)
+
 namespace {
 
 template <bool WithPerF> void runLoop(Engine &E) {
@@ -331,22 +344,14 @@ dispatch:
     VM_CASE(LdIdx) {
       VM_COUNT(Loads, 1);
       const int64_t Off = VM_REG(D->A).rawInt();
-      const int End = GEnd[D->X];
-      if (Off < 0 || End < 0 || D->X + Off >= End)
-        VM_FAIL(OutOfBounds, D->LinPos,
-                "array load out of bounds (index " + std::to_string(Off) +
-                    ")");
+      VM_CHECK_INDEX(Off, D->X, D->LinPos, "load");
       VM_REG(D->Dst) = GlobV[D->X + Off];
       VM_NEXT();
     }
     VM_CASE(StIdx) {
       VM_COUNT(Stores, 1);
       const int64_t Off = VM_REG(D->A).rawInt();
-      const int End = GEnd[D->X];
-      if (Off < 0 || End < 0 || D->X + Off >= End)
-        VM_FAIL(OutOfBounds, D->LinPos,
-                "array store out of bounds (index " + std::to_string(Off) +
-                    ")");
+      VM_CHECK_INDEX(Off, D->X, D->LinPos, "store");
       GlobV[D->X + Off] = VM_REG(D->B);
       VM_NEXT();
     }
@@ -565,72 +570,32 @@ dispatch:
       VM_COUNT(Loads, 1);
       const int64_t Off = wrapAdd(VM_REG(D->A).rawInt(), VM_REG(D->B).rawInt());
       VM_REG(D->Y) = RtValue::makeInt(Off); // the add's own def
-      const int End = GEnd[D->X];
-      if (Off < 0 || End < 0 || D->X + Off >= End)
-        VM_FAIL(OutOfBounds, D->LinPos + 1,
-                "array load out of bounds (index " + std::to_string(Off) +
-                    ")");
+      VM_CHECK_INDEX(Off, D->X, D->LinPos + 1, "load");
       VM_REG(D->Dst) = GlobV[D->X + Off];
       VM_NEXT();
-    }
-    VM_CASE(AddMv) {
-      VM_COUNT(Copies, 1);
-      VM_REG(D->X) =
-          RtValue::makeInt(wrapAdd(VM_REG(D->A).rawInt(), VM_REG(D->B).rawInt()));
-      VM_REG(D->Dst) = VM_REG(D->Aux);
-      VM_NEXT();
-    }
-    VM_CASE(MvJmp) {
-      VM_COUNT(Copies, 1);
-      VM_REG(D->Dst) = VM_REG(D->A);
-      VM_ENTER(D->Aux);
     }
     VM_CASE(LdIdxLoadI) {
       VM_COUNT(Loads, 1);
       const int64_t Off = VM_REG(D->A).rawInt();
-      const int End = GEnd[D->X];
-      if (Off < 0 || End < 0 || D->X + Off >= End)
-        VM_FAIL(OutOfBounds, D->LinPos,
-                "array load out of bounds (index " + std::to_string(Off) +
-                    ")");
+      VM_CHECK_INDEX(Off, D->X, D->LinPos, "load");
       VM_REG(D->Dst) = GlobV[D->X + Off];
       VM_REG(D->Y) = VM_CONST(D->Aux);
-      VM_NEXT();
-    }
-    VM_CASE(LoadILdSpill) {
-      VM_COUNT(Loads, 1);
-      VM_COUNT(SpillLoads, 1);
-      VM_REG(D->Y) = VM_CONST(D->Aux); // the loadI's own def
-      VM_REG(D->Dst) = VM_SPILL(D->X);
       VM_NEXT();
     }
     VM_CASE(LoadIStIdx) {
       VM_COUNT(Stores, 1);
       VM_REG(D->Y) = VM_CONST(D->Aux); // the loadI's own def
       const int64_t Off = VM_REG(D->A).rawInt();
-      const int End = GEnd[D->X];
-      if (Off < 0 || End < 0 || D->X + Off >= End)
-        VM_FAIL(OutOfBounds, D->LinPos + 1,
-                "array store out of bounds (index " + std::to_string(Off) +
-                    ")");
+      VM_CHECK_INDEX(Off, D->X, D->LinPos + 1, "store");
       GlobV[D->X + Off] = VM_REG(D->B);
       VM_NEXT();
     }
     VM_CASE(StIdxLoadI) {
       VM_COUNT(Stores, 1);
       const int64_t Off = VM_REG(D->A).rawInt();
-      const int End = GEnd[D->X];
-      if (Off < 0 || End < 0 || D->X + Off >= End)
-        VM_FAIL(OutOfBounds, D->LinPos,
-                "array store out of bounds (index " + std::to_string(Off) +
-                    ")");
+      VM_CHECK_INDEX(Off, D->X, D->LinPos, "store");
       GlobV[D->X + Off] = VM_REG(D->B);
       VM_REG(D->Y) = VM_CONST(D->Aux);
-      VM_NEXT();
-    }
-    VM_CASE(LoadImm2) {
-      VM_REG(D->Dst) = VM_CONST(D->Aux);
-      VM_REG(D->Y) = VM_CONST(D->B);
       VM_NEXT();
     }
     VM_CASE(LdSpillAdd) {
@@ -639,14 +604,6 @@ dispatch:
       VM_REG(D->Aux) = VM_SPILL(D->X); // the ldm's own def
       VM_REG(D->Dst) =
           RtValue::makeInt(wrapAdd(VM_REG(D->A).rawInt(), VM_REG(D->B).rawInt()));
-      VM_NEXT();
-    }
-    VM_CASE(LdSpillMul) {
-      VM_COUNT(Loads, 1);
-      VM_COUNT(SpillLoads, 1);
-      VM_REG(D->Aux) = VM_SPILL(D->X);
-      VM_REG(D->Dst) =
-          RtValue::makeInt(wrapMul(VM_REG(D->A).rawInt(), VM_REG(D->B).rawInt()));
       VM_NEXT();
     }
 
@@ -682,11 +639,7 @@ dispatch:
       VM_REG(D->X) = RtValue::makeInt(M); // the mul's own def
       const int64_t Off = wrapAdd(M, VM_REG(D->Y).rawInt());
       VM_REG(D->Z) = RtValue::makeInt(Off); // the add's own def
-      const int End = GEnd[D->Aux];
-      if (Off < 0 || End < 0 || D->Aux + Off >= End)
-        VM_FAIL(OutOfBounds, D->LinPos + 2,
-                "array load out of bounds (index " + std::to_string(Off) +
-                    ")");
+      VM_CHECK_INDEX(Off, D->Aux, D->LinPos + 2, "load");
       VM_REG(D->Dst) = GlobV[D->Aux + Off];
       VM_NEXT();
     }
@@ -715,64 +668,6 @@ dispatch:
       const bool T = VM_REG(D->A).asNumber() < VM_REG(D->B).asNumber();
       VM_REG(D->Dst) = RtValue::makeInt(T ? 1 : 0);
       VM_ENTER(T ? D->Aux : static_cast<uint32_t>(D->X));
-    }
-    VM_CASE(LdIdx2) {
-      VM_COUNT(Loads, 1);
-      const int64_t Off1 = VM_REG(D->A).rawInt();
-      const int End1 = GEnd[D->X];
-      if (Off1 < 0 || End1 < 0 || D->X + Off1 >= End1)
-        VM_FAIL(OutOfBounds, D->LinPos,
-                "array load out of bounds (index " + std::to_string(Off1) +
-                    ")");
-      VM_REG(D->Dst) = GlobV[D->X + Off1];
-      VM_COUNT(Loads, 1);
-      const int64_t Off2 = VM_REG(D->B).rawInt(); // may be the first load's dst
-      const int End2 = GEnd[D->Aux];
-      if (Off2 < 0 || End2 < 0 || D->Aux + Off2 >= End2)
-        VM_FAIL(OutOfBounds, D->LinPos + 1,
-                "array load out of bounds (index " + std::to_string(Off2) +
-                    ")");
-      VM_REG(D->Y) = GlobV[D->Aux + Off2];
-      VM_NEXT();
-    }
-    VM_CASE(LdIdxStIdx) {
-      VM_COUNT(Loads, 1);
-      const int64_t Off1 = VM_REG(D->A).rawInt();
-      const int End1 = GEnd[D->X];
-      if (Off1 < 0 || End1 < 0 || D->X + Off1 >= End1)
-        VM_FAIL(OutOfBounds, D->LinPos,
-                "array load out of bounds (index " + std::to_string(Off1) +
-                    ")");
-      VM_REG(D->Dst) = GlobV[D->X + Off1];
-      VM_COUNT(Stores, 1);
-      const int64_t Off2 = VM_REG(D->B).rawInt(); // store operands may be the
-      const RtValue Val = VM_REG(D->Z);           // load's dst
-      const int End2 = GEnd[D->Aux];
-      if (Off2 < 0 || End2 < 0 || D->Aux + Off2 >= End2)
-        VM_FAIL(OutOfBounds, D->LinPos + 1,
-                "array store out of bounds (index " + std::to_string(Off2) +
-                    ")");
-      GlobV[D->Aux + Off2] = Val;
-      VM_NEXT();
-    }
-    VM_CASE(StIdx2) {
-      VM_COUNT(Stores, 1);
-      const int64_t Off1 = VM_REG(D->A).rawInt();
-      const int End1 = GEnd[D->X];
-      if (Off1 < 0 || End1 < 0 || D->X + Off1 >= End1)
-        VM_FAIL(OutOfBounds, D->LinPos,
-                "array store out of bounds (index " + std::to_string(Off1) +
-                    ")");
-      GlobV[D->X + Off1] = VM_REG(D->B);
-      VM_COUNT(Stores, 1);
-      const int64_t Off2 = VM_REG(D->Y).rawInt();
-      const int End2 = GEnd[D->Aux];
-      if (Off2 < 0 || End2 < 0 || D->Aux + Off2 >= End2)
-        VM_FAIL(OutOfBounds, D->LinPos + 1,
-                "array store out of bounds (index " + std::to_string(Off2) +
-                    ")");
-      GlobV[D->Aux + Off2] = VM_REG(D->Z);
-      VM_NEXT();
     }
   }
   // All handlers transfer control explicitly; reaching here means a

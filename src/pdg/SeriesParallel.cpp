@@ -8,27 +8,22 @@
 
 #include "ir/RegionTree.h"
 
-#include <algorithm>
-
 using namespace rap;
 
 SeriesParallelDecomposition::SeriesParallelDecomposition(PdgNode *Root) {
-  build(Root, /*Parent=*/-1, /*Depth=*/0);
+  build(Root);
 }
 
-unsigned SeriesParallelDecomposition::build(PdgNode *Region, int Parent,
-                                            unsigned Depth) {
+unsigned SeriesParallelDecomposition::build(PdgNode *Region) {
   // Children first: postorder indices must match the sequential bottom-up
   // allocator, which finishes every subregion before its parent.
   std::vector<PdgNode *> Subs = Region->subregions();
   std::vector<unsigned> ChildIdx;
   ChildIdx.reserve(Subs.size());
-  unsigned Regions = 1;
   unsigned Instrs = 0;
   for (PdgNode *Sub : Subs) {
-    unsigned C = build(Sub, /*Parent=*/-1, Depth + 1);
+    unsigned C = build(Sub);
     ChildIdx.push_back(C);
-    Regions += Nodes[C].SubtreeRegions;
     Instrs += Nodes[C].SubtreeInstrs;
   }
 
@@ -39,32 +34,11 @@ unsigned SeriesParallelDecomposition::build(PdgNode *Region, int Parent,
   SPNode N;
   N.Region = Region;
   N.Index = static_cast<unsigned>(Nodes.size());
-  N.Parent = Parent;
   N.Children = std::move(ChildIdx);
-  N.Depth = Depth;
-  N.SubtreeRegions = Regions;
   N.SubtreeInstrs = Instrs;
   N.IsLoop = Region->IsLoop;
   for (unsigned C : N.Children)
     Nodes[C].Parent = static_cast<int>(N.Index);
-  Width = std::max(Width, static_cast<unsigned>(N.Children.size()));
-  MaxDepth = std::max(MaxDepth, Depth);
   Nodes.push_back(std::move(N));
   return Nodes.back().Index;
-}
-
-std::string SeriesParallelDecomposition::str() const {
-  std::string Out;
-  for (const SPNode &N : Nodes) {
-    Out += "sp#" + std::to_string(N.Index);
-    Out += " region=" + std::to_string(N.Region->Id);
-    Out += " parent=" + std::to_string(N.Parent);
-    Out += " depth=" + std::to_string(N.Depth);
-    Out += " regions=" + std::to_string(N.SubtreeRegions);
-    Out += " instrs=" + std::to_string(N.SubtreeInstrs);
-    if (N.IsLoop)
-      Out += " loop";
-    Out += "\n";
-  }
-  return Out;
 }

@@ -26,7 +26,6 @@
 #define RAP_PDG_SERIESPARALLEL_H
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace rap {
@@ -40,11 +39,9 @@ class PdgNode;
 /// bit for bit.
 struct SPNode {
   PdgNode *Region = nullptr;
-  unsigned Index = 0;         ///< postorder index; position in nodes()
+  unsigned Index = 0;         ///< postorder index; node(Index) is this node
   int Parent = -1;            ///< parent SPNode index, -1 for the root
   std::vector<unsigned> Children; ///< child indices, in subregions() order
-  unsigned Depth = 0;         ///< root = 0
-  unsigned SubtreeRegions = 1;
   unsigned SubtreeInstrs = 0; ///< instructions in the whole subtree
   bool IsLoop = false;
 };
@@ -56,28 +53,16 @@ public:
   /// Builds the decomposition rooted at \p Root (a region node).
   explicit SeriesParallelDecomposition(PdgNode *Root);
 
-  const std::vector<SPNode> &nodes() const { return Nodes; }
   size_t size() const { return Nodes.size(); }
   const SPNode &node(unsigned Index) const { return Nodes[Index]; }
 
   /// The root region's node — always the last postorder index.
   const SPNode &root() const { return Nodes.back(); }
 
-  /// Largest sibling group: an upper bound on how many regions can be
-  /// unlocked by one completion, and a cheap proxy for available
-  /// parallelism width.
-  unsigned maxWidth() const { return Width; }
-  unsigned maxDepth() const { return MaxDepth; }
-
-  /// Human-readable dump (tests and --stats debugging).
-  std::string str() const;
-
 private:
-  unsigned build(PdgNode *Region, int Parent, unsigned Depth);
+  unsigned build(PdgNode *Region);
 
   std::vector<SPNode> Nodes;
-  unsigned Width = 0;
-  unsigned MaxDepth = 0;
 };
 
 } // namespace rap

@@ -809,6 +809,13 @@ bool RapAllocator::spillEverywhere(Reg V) {
 // and the classic walk reruns from scratch.
 
 bool RapAllocator::runRegionParallelPhase1(InterferenceGraph &Final) {
+  // Round 0 colors every region only if no point has more than K registers
+  // live (registers live together interfere). Past that a spill is certain
+  // and the speculation could only be discarded, so skip building it; the
+  // classic walk below produces the same output either way.
+  if (CI->Live.maxLive() > Options.K)
+    return false;
+
   SeriesParallelDecomposition SPD(F.root());
   const unsigned RootIdx = SPD.root().Index;
 
@@ -911,15 +918,13 @@ bool RapAllocator::runRegionParallelPhase1(InterferenceGraph &Final) {
   // worker — their own pending done() keeps the barrier open, and the
   // failure flag only short-circuits work, never the countdown, so wait()
   // always drains.
-  std::vector<int> OwnerParent(SPD.size(), -1);
+  // An owner's parent is itself an owner (heaviness is upward-closed), so
+  // the decomposition's Parent link is the owner DAG's series edge.
   std::vector<std::atomic<unsigned>> Pending(SPD.size());
   std::vector<unsigned> HeavyKids(SPD.size(), 0);
   for (unsigned I = 0; I != SPD.size(); ++I) {
     for (unsigned C : SPD.node(I).Children)
-      if (Heavy[C]) {
-        ++HeavyKids[I];
-        OwnerParent[C] = static_cast<int>(I);
-      }
+      HeavyKids[I] += Heavy[C];
     Pending[I].store(HeavyKids[I], std::memory_order_relaxed);
   }
 
@@ -939,7 +944,7 @@ bool RapAllocator::runRegionParallelPhase1(InterferenceGraph &Final) {
       if (!Ok)
         Failed.store(true, std::memory_order_relaxed);
     }
-    int P = OwnerParent[Idx];
+    int P = SPD.node(Idx).Parent;
     if (P >= 0 &&
         Pending[static_cast<unsigned>(P)].fetch_sub(
             1, std::memory_order_acq_rel) == 1) {

@@ -7,13 +7,18 @@
 #ifndef RAP_TESTS_TESTUTIL_H
 #define RAP_TESTS_TESTUTIL_H
 
+#include "cfg/Cfg.h"
+#include "cfg/Liveness.h"
+#include "driver/Pipeline.h"
 #include "frontend/Lexer.h"
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
+#include "ir/Linearize.h"
 #include "lower/AstLowering.h"
 
 #include "gtest/gtest.h"
 
+#include <map>
 #include <memory>
 #include <string>
 
@@ -48,6 +53,25 @@ inline std::string diagnose(const std::string &Source) {
   if (!Diags.hasErrors())
     analyze(TU, Diags);
   return Diags.str();
+}
+
+/// Liveness::maxLive of each function of \p Source as the pipeline lowers
+/// it, before allocation, by function name. RAP runs its speculative
+/// region-parallel round only on a function whose value is at most k.
+inline std::map<std::string, unsigned>
+maxLiveByFunction(const std::string &Source) {
+  std::map<std::string, unsigned> Out;
+  CompileResult CR = compileMiniC(Source, CompileOptions());
+  if (!CR.ok()) {
+    ADD_FAILURE() << "compile failed:\n" << CR.Errors;
+    return Out;
+  }
+  for (const auto &F : CR.Prog->functions()) {
+    LinearCode Code = linearize(*F);
+    Cfg G(Code);
+    Out[F->name()] = Liveness(Code, G, F->numVRegs()).maxLive();
+  }
+  return Out;
 }
 
 } // namespace rap::test

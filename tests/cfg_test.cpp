@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "oracles/Dominators.h"
 
 #include "cfg/Cfg.h"
-#include "cfg/Dominators.h"
 #include "cfg/Liveness.h"
 #include "ir/Linearize.h"
 

@@ -16,6 +16,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include "benchprogs/BenchPrograms.h"
 #include "driver/Pipeline.h"
 #include "driver/Report.h"
@@ -288,6 +290,13 @@ void expectRegionThreadInvariance(const std::string &Source, unsigned K,
   }
 }
 
+/// Asserts that every function of \p Source passes RAP's MaxLive gate at
+/// \p K, so the speculative round is attempted for all of them.
+void expectSpeculationAttempted(const std::string &Source, unsigned K) {
+  for (const auto &[Name, MaxLive] : test::maxLiveByFunction(Source))
+    EXPECT_LE(MaxLive, K) << Name << " would skip the speculative round";
+}
+
 TEST(ParallelDeterminism, RegionThreadsBitIdenticalOnDeepFunction) {
   // The bench workload: spill-free at k=12, so the speculative parallel
   // round engages and commits rather than falling back to the classic walk.
@@ -297,20 +306,46 @@ TEST(ParallelDeterminism, RegionThreadsBitIdenticalOnDeepFunction) {
   C.DeepFanout = 3;
   C.PressureVars = 2;
   std::string Src = fuzz::ScaleProgramBuilder(C).buildDeepFunction();
+  expectSpeculationAttempted(Src, 12);
   expectRegionThreadInvariance(Src, 12, /*Grain=*/16);
 }
 
 TEST(ParallelDeterminism, RegionThreadsBitIdenticalWhenSpilling) {
-  // Under pressure (k=3) every speculative round aborts at the first spill
-  // candidate and the classic walk reruns — also bit-identical, exercising
-  // the discard path rather than the commit path.
+  // Under pressure (k=3) more registers are live at some point than there
+  // are colors, so the MaxLive gate skips the speculative round and the
+  // classic walk runs alone — bit-identical at every region thread count.
   fuzz::ScaleProgramConfig C;
   C.Seed = 7;
   C.DeepDepth = 4;
   C.DeepFanout = 2;
   C.PressureVars = 4;
   std::string Src = fuzz::ScaleProgramBuilder(C).buildDeepFunction();
+  EXPECT_GT(test::maxLiveByFunction(Src).at("deep"), 3u);
   expectRegionThreadInvariance(Src, 3, /*Grain=*/8);
+}
+
+TEST(ParallelDeterminism, RegionThreadsBitIdenticalWhenSpillingUnderMaxLive) {
+  // The discard path: module seed 6 has a function (f27) that needs spills
+  // at k=12 although no point has more than 12 registers live. The gate
+  // lets its speculative round start (grain 1 makes every region a task),
+  // the round meets a spill candidate and is discarded, and the classic
+  // walk reruns — bit-identical at every region thread count.
+  fuzz::ScaleProgramConfig C;
+  C.Seed = 6;
+  C.NumFunctions = 30;
+  std::string Src = fuzz::ScaleProgramBuilder(C).buildModule();
+  EXPECT_LE(test::maxLiveByFunction(Src).at("f27"), 12u);
+  CompileOptions Options;
+  Options.Allocator = AllocatorKind::Rap;
+  Options.Alloc.K = 12;
+  CompileResult CR = compileMiniC(Src, Options);
+  ASSERT_TRUE(CR.ok()) << CR.Errors;
+  bool Spilled = false;
+  for (const AllocOutcome &O : CR.AllocOutcomes)
+    if (O.Function == "f27")
+      Spilled = O.Stats.SpilledVRegs > 0;
+  EXPECT_TRUE(Spilled) << "f27 no longer spills at k=12: pick another input";
+  expectRegionThreadInvariance(Src, 12, /*Grain=*/1);
 }
 
 TEST(ParallelDeterminism, RegionThreadsComposeWithFunctionThreads) {
@@ -354,6 +389,7 @@ TEST(ParallelDeterminism, RegionStatsJsonAndTraceInvariant) {
   C.DeepFanout = 3;
   C.PressureVars = 2;
   std::string Src = fuzz::ScaleProgramBuilder(C).buildDeepFunction();
+  expectSpeculationAttempted(Src, 12);
 
   auto Normalized = [&](unsigned RegionThreads,
                         std::string &StatsOut, std::string &TraceOut) {

@@ -13,11 +13,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "oracles/ControlDependence.h"
+#include "oracles/Dominators.h"
 
 #include "cfg/Cfg.h"
-#include "cfg/Dominators.h"
 #include "ir/Linearize.h"
-#include "pdg/ControlDependence.h"
 #include "pdg/DataDependence.h"
 #include "pdg/Dot.h"
 

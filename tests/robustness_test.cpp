@@ -14,6 +14,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include "driver/Pipeline.h"
 #include "ir/Clone.h"
 #include "regalloc/SpillEverything.h"
@@ -290,19 +292,17 @@ TEST(FaultIsolation, PoisonedFunctionDegradesAlone) {
   }
 }
 
-TEST(FaultIsolation, RegionFaultUnderRegionThreads) {
-  // Inject at the region-allocation site while the speculative
-  // region-parallel first round is active (RegionThreads > 1, Grain=1 so
-  // every region is a task owner). The speculation must discard, re-arm the
-  // injector, rerun the classic walk, hit the same fault there, and degrade
-  // only the targeted function — with every other function byte-identical
-  // to a fault-free serial run and the program still computing the
-  // reference value through the verified fallback.
+/// Injects at the region-allocation site with region threads on
+/// (RegionThreads > 1, Grain=1 so every region is a task owner) at \p K, and
+/// expects only the targeted function to degrade — every other function
+/// byte-identical to a fault-free serial run and the program still
+/// computing the reference value through the verified fallback.
+void expectRegionFaultDegradesAlone(unsigned K) {
   int64_t Want = referenceValue(MultiFunctionSource);
 
   CompileOptions Clean;
   Clean.Allocator = AllocatorKind::Rap;
-  Clean.Alloc.K = 3;
+  Clean.Alloc.K = K;
   CompileResult Baseline = compileMiniC(MultiFunctionSource, Clean);
   ASSERT_TRUE(Baseline.ok()) << Baseline.Errors;
   std::vector<std::string> CleanCode;
@@ -342,14 +342,13 @@ TEST(FaultIsolation, RegionFaultUnderRegionThreads) {
     }
 }
 
-TEST(FaultIsolation, RegionFaultStrictUnderRegionThreads) {
-  // Strict mode with the same speculative-phase injection: the classic
-  // rerun re-raises the fault as a structured error and the compile fails
-  // deterministically.
+/// Strict mode with the same injection at \p K: the fault surfaces as a
+/// structured error and the compile fails deterministically.
+void expectRegionFaultFailsStrictCompile(unsigned K) {
   for (unsigned Threads : {1u, 2u}) {
     CompileOptions Opts;
     Opts.Allocator = AllocatorKind::Rap;
-    Opts.Alloc.K = 3;
+    Opts.Alloc.K = K;
     Opts.Alloc.Threads = Threads;
     Opts.Alloc.RegionThreads = 4;
     Opts.Alloc.RegionGrain = 1;
@@ -361,6 +360,36 @@ TEST(FaultIsolation, RegionFaultStrictUnderRegionThreads) {
               std::string::npos)
         << "threads=" << Threads << ": " << CR.Errors;
   }
+}
+
+/// The lowest k at which 'pressure' passes RAP's MaxLive gate, so its
+/// speculative region round runs.
+unsigned speculativeK() {
+  return test::maxLiveByFunction(MultiFunctionSource).at("pressure");
+}
+
+TEST(FaultIsolation, RegionFaultUnderRegionThreads) {
+  // At k=3 'pressure' has more registers live than colors, so the MaxLive
+  // gate skips the speculative round and the classic walk meets the fault.
+  ASSERT_GT(speculativeK(), 3u);
+  expectRegionFaultDegradesAlone(3);
+}
+
+TEST(FaultIsolation, RegionFaultUnderRegionThreadsWithSpeculation) {
+  // At k=MaxLive the speculative round runs and takes the fault: it must
+  // discard, re-arm the injector, rerun the classic walk and hit the same
+  // fault there.
+  expectRegionFaultDegradesAlone(speculativeK());
+}
+
+TEST(FaultIsolation, RegionFaultStrictUnderRegionThreads) {
+  ASSERT_GT(speculativeK(), 3u);
+  expectRegionFaultFailsStrictCompile(3);
+}
+
+TEST(FaultIsolation, RegionFaultStrictUnderRegionThreadsWithSpeculation) {
+  // The classic rerun after the discarded speculation re-raises the fault.
+  expectRegionFaultFailsStrictCompile(speculativeK());
 }
 
 TEST(FaultIsolation, StrictModeFailsTheCompile) {

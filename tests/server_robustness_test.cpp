@@ -14,9 +14,9 @@
 ///  * CompileService — deadline_ms answers deadline-exceeded, a drain
 ///    cancel answers cancelled, and aborted requests insert NOTHING into
 ///    the cache (the determinism contract under wall-clock races);
-///  * BoundedQueue close/pop races and ShardPool submission racing the
-///    barrier — deterministic interleavings built from cancel-token gates
-///    and single-shard FIFO order, never sleeps;
+///  * ShardPool submission racing the barrier — deterministic interleavings
+///    built from cancel-token gates and single-shard FIFO order, never
+///    sleeps;
 ///  * the ShardPool watchdog — a worker that ignores its token trips the
 ///    watchdog, degrades the shard, and the shard recovers on completion;
 ///  * Server — the NDJSON line cap, the new stats counters, and graceful
@@ -27,7 +27,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/Server.h"
-#include "support/BoundedQueue.h"
 
 #include "gtest/gtest.h"
 
@@ -291,73 +290,6 @@ int main() { return wide(1); }
       }
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// BoundedQueue close/pop races.
-//===----------------------------------------------------------------------===//
-
-TEST(BoundedQueueRaces, CloseWakesAllConcurrentPoppers) {
-  BoundedQueue<int> Q(64);
-  constexpr int Items = 48;
-  constexpr int Poppers = 4;
-  std::atomic<int> Popped{0};
-  std::vector<std::thread> Threads;
-  for (int T = 0; T != Poppers; ++T)
-    Threads.emplace_back([&] {
-      int V;
-      while (Q.pop(V))
-        Popped.fetch_add(1, std::memory_order_relaxed);
-    });
-  for (int I = 0; I != Items; ++I)
-    ASSERT_TRUE(Q.push(I));
-  Q.close(); // racing the poppers: they must drain all 48, then stop
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(Popped.load(), Items);
-}
-
-TEST(BoundedQueueRaces, CloseAfterFirstPopViaTokenGate) {
-  // Deterministic interleaving without sleeps: the consumer signals through
-  // a cancel token after its first pop; close() is ordered strictly after
-  // that pop and must wake the consumer's second, blocked pop with "done".
-  BoundedQueue<int> Q(4);
-  CancelToken GotFirst;
-  std::atomic<int> Seen{0};
-  ASSERT_TRUE(Q.push(7));
-  std::thread Consumer([&] {
-    int V;
-    while (Q.pop(V)) {
-      Seen.fetch_add(1, std::memory_order_relaxed);
-      GotFirst.cancel();
-    }
-  });
-  ASSERT_TRUE(spinUntil([&] { return GotFirst.cancelled(); }));
-  Q.close();
-  Consumer.join();
-  EXPECT_EQ(Seen.load(), 1);
-}
-
-TEST(BoundedQueueRaces, ProducersRacingClose) {
-  BoundedQueue<int> Q(8);
-  std::atomic<int> Accepted{0};
-  std::vector<std::thread> Producers;
-  for (int T = 0; T != 4; ++T)
-    Producers.emplace_back([&] {
-      for (int I = 0; I != 64; ++I)
-        if (Q.tryPush(I))
-          Accepted.fetch_add(1, std::memory_order_relaxed);
-    });
-  int Drained = 0;
-  int V;
-  // Consumer in this thread: drain while producers race, then close; every
-  // accepted push must be popped exactly once, rejected pushes never.
-  for (std::thread &T : Producers)
-    T.join();
-  Q.close();
-  while (Q.pop(V))
-    ++Drained;
-  EXPECT_EQ(Drained, Accepted.load());
 }
 
 //===----------------------------------------------------------------------===//
