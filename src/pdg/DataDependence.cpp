@@ -92,110 +92,71 @@ DataDependence::DataDependence(const LinearCode &Code, const Cfg &G,
   Flows.erase(std::unique(Flows.begin(), Flows.end()), Flows.end());
 }
 
-std::vector<FlowDep> DataDependence::flowDepsFor(const LinearCode &Code,
-                                                 const Cfg &G, Reg R) {
-  // Same reaching-definitions scheme as the constructor, restricted to the
-  // definitions of one register: def-id universes are tiny, so the block
-  // sets fit a handful of words and the fixpoint touches only R's defs.
-  unsigned N = static_cast<unsigned>(Code.Instrs.size());
-  std::vector<unsigned> DefPosOfId;
-  for (unsigned P = 0; P != N; ++P) {
-    const Instr *I = Code.Instrs[P];
-    if (I->hasDef() && I->Dst == R)
-      DefPosOfId.push_back(P);
-  }
+std::vector<FlowDep>
+DataDependence::flowDepsFor(const Cfg &G, Reg R,
+                            std::span<const unsigned> Defs,
+                            std::span<const unsigned> Uses) {
   std::vector<FlowDep> Flows;
-  unsigned NumDefs = static_cast<unsigned>(DefPosOfId.size());
-  if (NumDefs == 0)
+  if (Defs.empty())
     return Flows;
-  auto defIdAt = [&](unsigned P) {
-    return static_cast<unsigned>(
-        std::lower_bound(DefPosOfId.begin(), DefPosOfId.end(), P) -
-        DefPosOfId.begin());
+
+  // The last def of R in block B before position Before, if any. Blocks are
+  // contiguous position ranges, so this is one binary search over Defs.
+  constexpr unsigned None = ~0u;
+  auto lastDefBefore = [&](unsigned B, unsigned Before) {
+    auto It = std::lower_bound(Defs.begin(), Defs.end(), Before);
+    if (It == Defs.begin() || *(It - 1) < G.block(B).Begin)
+      return None;
+    return *(It - 1);
   };
 
-  unsigned NumBlocks = G.numBlocks();
-  // A block either passes reaching defs through (no def of R) or replaces
-  // them with its last def, so Gen/Kill collapse to one def id per block.
-  std::vector<int> LastDef(NumBlocks, -1);
-  for (unsigned B = 0; B != NumBlocks; ++B) {
-    const BasicBlock &BB = G.block(B);
-    for (unsigned P = BB.Begin; P != BB.End; ++P) {
-      const Instr *I = Code.Instrs[P];
-      if (I->hasDef() && I->Dst == R)
-        LastDef[B] = static_cast<int>(defIdAt(P));
-    }
-  }
-
-  // Flat word storage: this runs once per spill attempt, so the block sets
-  // live in two arrays instead of per-block heap vectors.
-  unsigned W = (NumDefs + 63) / 64;
-  std::vector<uint64_t> In(static_cast<size_t>(NumBlocks) * W, 0);
-  std::vector<uint64_t> Out(static_cast<size_t>(NumBlocks) * W, 0);
-  std::vector<uint64_t> Tmp(W);
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (unsigned B = 0; B != NumBlocks; ++B) {
-      std::fill(Tmp.begin(), Tmp.end(), 0);
-      for (unsigned P : G.block(B).Preds)
-        for (unsigned I = 0; I != W; ++I)
-          Tmp[I] |= Out[static_cast<size_t>(P) * W + I];
-      uint64_t *InB = &In[static_cast<size_t>(B) * W];
-      uint64_t *OutB = &Out[static_cast<size_t>(B) * W];
-      for (unsigned I = 0; I != W; ++I) {
-        if (Tmp[I] != InB[I]) {
-          InB[I] = Tmp[I];
-          Changed = true;
+  // Defs reaching the entry of the current use block: walk predecessors
+  // backward, stopping each path at the first block that defines R. Each
+  // block is visited once per use block.
+  BitVector Visited(G.numBlocks());
+  std::vector<unsigned> Walk, VisitedList, EntryDefs;
+  auto reachEntry = [&](unsigned B) {
+    EntryDefs.clear();
+    auto visitPreds = [&](unsigned X) {
+      for (unsigned P : G.block(X).Preds)
+        if (!Visited.test(P)) {
+          Visited.set(P);
+          VisitedList.push_back(P);
+          Walk.push_back(P);
         }
-      }
-      if (LastDef[B] >= 0) {
-        unsigned Id = static_cast<unsigned>(LastDef[B]);
-        std::fill(Tmp.begin(), Tmp.end(), 0);
-        Tmp[Id / 64] = uint64_t(1) << (Id % 64);
-      }
-      for (unsigned I = 0; I != W; ++I) {
-        if (Tmp[I] != OutB[I]) {
-          OutB[I] = Tmp[I];
-          Changed = true;
-        }
-      }
+    };
+    visitPreds(B);
+    while (!Walk.empty()) {
+      unsigned X = Walk.back();
+      Walk.pop_back();
+      unsigned D = lastDefBefore(X, G.block(X).End);
+      if (D != None)
+        EntryDefs.push_back(D);
+      else
+        visitPreds(X);
     }
-  }
+    for (unsigned X : VisitedList)
+      Visited.reset(X);
+    VisitedList.clear();
+  };
 
-  std::vector<uint64_t> Reach(W);
-  for (unsigned B = 0; B != NumBlocks; ++B) {
-    const BasicBlock &BB = G.block(B);
-    std::copy(In.begin() + static_cast<size_t>(B) * W,
-              In.begin() + static_cast<size_t>(B + 1) * W, Reach.begin());
-    for (unsigned P = BB.Begin; P != BB.End; ++P) {
-      const Instr *I = Code.Instrs[P];
-      for (Reg Src : I->Src)
-        if (Src == R)
-          for (unsigned WI = 0; WI != W; ++WI)
-            for (uint64_t Bits = Reach[WI]; Bits; Bits &= Bits - 1) {
-              unsigned DefId =
-                  WI * 64 + static_cast<unsigned>(__builtin_ctzll(Bits));
-              Flows.push_back(FlowDep{DefPosOfId[DefId], P, R});
-            }
-      if (I->hasDef() && I->Dst == R) {
-        std::fill(Reach.begin(), Reach.end(), 0);
-        unsigned Id = defIdAt(P);
-        Reach[Id / 64] = uint64_t(1) << (Id % 64);
-      }
+  // Uses ascend, and so do blocks, so the uses of one block are adjacent.
+  unsigned EntryBlock = None;
+  for (unsigned P : Uses) {
+    unsigned B = G.blockOf(P);
+    unsigned D = lastDefBefore(B, P);
+    if (D != None) {
+      Flows.push_back(FlowDep{D, P, R});
+      continue;
     }
+    if (B != EntryBlock) {
+      reachEntry(B);
+      EntryBlock = B;
+    }
+    for (unsigned E : EntryDefs)
+      Flows.push_back(FlowDep{E, P, R});
   }
 
   std::sort(Flows.begin(), Flows.end());
-  Flows.erase(std::unique(Flows.begin(), Flows.end()), Flows.end());
   return Flows;
-}
-
-std::vector<unsigned> DataDependence::reachingDefs(unsigned UsePos,
-                                                   Reg R) const {
-  std::vector<unsigned> Out;
-  for (const FlowDep &F : Flows)
-    if (F.UsePos == UsePos && F.R == R)
-      Out.push_back(F.DefPos);
-  return Out;
 }

@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Register flow (def-use) dependences computed with a classic reaching-
-/// definitions dataflow over the linearized ILOC. These are the data
-/// dependence edges of the PDG (paper §2.2, Figure 1 — including the cyclic
-/// self-dependence of `i = i + 1` inside a loop). Register allocation does
-/// not consume them directly (it uses liveness), but they complete the PDG
-/// as a program representation and feed the DOT export.
+/// Register flow (def-use) dependences over the linearized ILOC. These are
+/// the data dependence edges of the PDG (paper §2.2, Figure 1 — including
+/// the cyclic self-dependence of `i = i + 1` inside a loop). The whole-
+/// function set comes from a classic reaching-definitions dataflow and feeds
+/// the DOT export; RAP's outside-the-region spill fixup (paper §3.1.4) asks
+/// for one register at a time through the sparse flowDepsFor.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,7 @@
 #include "cfg/Cfg.h"
 #include "ir/Linearize.h"
 
+#include <span>
 #include <vector>
 
 namespace rap {
@@ -50,15 +51,16 @@ public:
   /// All flow dependences, sorted by (def, use).
   const std::vector<FlowDep> &flowDeps() const { return Flows; }
 
-  /// The flow dependences of the single register \p R, sorted by (def, use).
-  /// Runs the reaching-definitions fixpoint over just R's definitions, so a
-  /// caller interested in one register (RAP's outside-the-region spill
-  /// fixup) avoids the whole-function solve.
-  static std::vector<FlowDep> flowDepsFor(const LinearCode &Code,
-                                          const Cfg &G, Reg R);
-
-  /// The definition positions reaching the use of \p R at \p UsePos.
-  std::vector<unsigned> reachingDefs(unsigned UsePos, Reg R) const;
+  /// The flow dependences of the single register \p R, sorted by (def, use),
+  /// given R's definition and use positions in \p G's linearization (each
+  /// ascending and distinct, as RefInfo stores them). A use pairs with the
+  /// nearest earlier def in its own block; otherwise a backward walk from
+  /// its block takes the last def of each block that defines R and stops
+  /// that path there. The cost follows R's references and the blocks its
+  /// values pass through, not the size of the function.
+  static std::vector<FlowDep> flowDepsFor(const Cfg &G, Reg R,
+                                          std::span<const unsigned> Defs,
+                                          std::span<const unsigned> Uses);
 
 private:
   std::vector<FlowDep> Flows;

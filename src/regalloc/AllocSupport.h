@@ -19,6 +19,7 @@
 #include "ir/IlocFunction.h"
 #include "ir/Linearize.h"
 
+#include <span>
 #include <vector>
 
 namespace rap {
@@ -55,14 +56,7 @@ private:
 
 /// A view of consecutive linear positions (ascending) in RefInfo's flat
 /// storage.
-struct PosSpan {
-  const unsigned *First = nullptr;
-  const unsigned *Last = nullptr;
-  const unsigned *begin() const { return First; }
-  const unsigned *end() const { return Last; }
-  size_t size() const { return static_cast<size_t>(Last - First); }
-  bool empty() const { return First == Last; }
-};
+using PosSpan = std::span<const unsigned>;
 
 /// Use/def positions per virtual register over one linearization. Stored in
 /// compressed-sparse-row form — two flat arrays, not one heap vector per

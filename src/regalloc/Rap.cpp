@@ -608,9 +608,11 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
   // whose value flows into R must store it to the slot, uses outside R
   // reached by definitions inside R must reload it, and definitions
   // reaching those reloaded uses must store as well (the paper's
-  // recursion, collapsed to its one-step fixpoint).
-  std::vector<FlowDep> VDeps =
-      DataDependence::flowDepsFor(CI->Code, CI->Graph, V);
+  // recursion, collapsed to its one-step fixpoint). V's flow dependences
+  // come from its def/use positions in the snapshot, which are exact: the
+  // spill queue refreshes before handling a register edited since then.
+  std::vector<FlowDep> VDeps = DataDependence::flowDepsFor(
+      CI->Graph, V, Refs->defPositions(V), Refs->usePositions(V));
   auto InsideR = [&](unsigned Pos) {
     return Pos >= R->LinBegin && Pos < R->LinEnd;
   };

@@ -13,6 +13,8 @@
 #include "support/BitVector.h"
 #include "support/Stats.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -20,49 +22,47 @@ using namespace rap;
 
 namespace {
 
-/// Forward availability state: bit (Slot * K + Reg) set means the register
-/// holds the slot's current value.
+/// Forward availability state, register-major: row R holds one bit per
+/// spill slot, set when register R holds that slot's current value. A
+/// register definition clears one row and a copy duplicates one, so both
+/// are word fills over ceil(NumSlots / 64) words; the padding bits past
+/// NumSlots in each row's last word stay zero.
 class AvailState {
 public:
   AvailState(unsigned NumSlots, unsigned K)
-      : K(K), Bits(NumSlots * K) {}
+      : RowWords((NumSlots + 63) / 64), Words(size_t(K) * RowWords, 0) {}
 
   static AvailState top(unsigned NumSlots, unsigned K) {
     AvailState S(NumSlots, K);
-    for (unsigned I = 0; I != NumSlots * K; ++I)
-      S.Bits.set(I);
+    std::fill(S.Words.begin(), S.Words.end(), ~uint64_t(0));
+    if (unsigned Tail = NumSlots % 64)
+      for (unsigned R = 0; R != K; ++R)
+        S.row(R)[S.RowWords - 1] = (uint64_t(1) << Tail) - 1;
     return S;
   }
 
   bool has(int Slot, Reg R) const {
-    return Bits.test(static_cast<unsigned>(Slot) * K + R);
+    return (row(R)[Slot / 64] >> (Slot % 64)) & 1;
   }
-  void add(int Slot, Reg R) {
-    Bits.set(static_cast<unsigned>(Slot) * K + R);
-  }
+  void add(int Slot, Reg R) { row(R)[Slot / 64] |= uint64_t(1) << (Slot % 64); }
 
-  void killReg(Reg R) {
-    for (unsigned S = 0; S * K < Bits.size(); ++S)
-      Bits.reset(S * K + R);
-  }
+  void killReg(Reg R) { std::fill_n(row(R), RowWords, 0); }
   void killSlot(int Slot) {
-    for (unsigned R = 0; R != K; ++R)
-      Bits.reset(static_cast<unsigned>(Slot) * K + R);
+    for (size_t W = Slot / 64; W < Words.size(); W += RowWords)
+      Words[W] &= ~(uint64_t(1) << (Slot % 64));
   }
 
   /// Copy `Dst = Src`: Dst now holds whatever slots Src holds.
   void copy(Reg Dst, Reg Src) {
-    std::vector<unsigned> Slots;
-    for (unsigned S = 0; S * K < Bits.size(); ++S)
-      if (Bits.test(S * K + Src))
-        Slots.push_back(S);
-    killReg(Dst);
-    for (unsigned S : Slots)
-      Bits.set(S * K + Dst);
+    if (Dst != Src)
+      std::copy_n(row(Src), RowWords, row(Dst));
   }
 
-  bool meet(const AvailState &Other) { return Bits.intersectWith(Other.Bits); }
-  bool operator==(const AvailState &O) const { return Bits == O.Bits; }
+  void meet(const AvailState &Other) {
+    for (size_t W = 0; W != Words.size(); ++W)
+      Words[W] &= Other.Words[W];
+  }
+  bool operator==(const AvailState &O) const { return Words == O.Words; }
 
   /// Applies \p I's effect.
   void transfer(const Instr *I) {
@@ -86,8 +86,13 @@ public:
   }
 
 private:
-  unsigned K;
-  BitVector Bits;
+  uint64_t *row(Reg R) { return Words.data() + size_t(R) * RowWords; }
+  const uint64_t *row(Reg R) const {
+    return Words.data() + size_t(R) * RowWords;
+  }
+
+  size_t RowWords;
+  std::vector<uint64_t> Words;
 };
 
 /// Block entry facts of the forward availability dataflow: a register holds
@@ -105,16 +110,13 @@ std::vector<AvailState> availableAtEntry(const LinearCode &Code, const Cfg &G,
     Changed = false;
     for (unsigned B = 0; B != NB; ++B) {
       if (B != 0) {
-        AvailState NewIn = AvailState::top(NumSlots, K);
-        bool HasPred = false;
-        for (unsigned P : G.block(B).Preds) {
-          NewIn.meet(Out[P]);
-          HasPred = true;
-        }
-        if (!HasPred)
-          NewIn = AvailState(NumSlots, K);
+        const std::vector<unsigned> &Preds = G.block(B).Preds;
+        AvailState NewIn =
+            Preds.empty() ? AvailState(NumSlots, K) : Out[Preds.front()];
+        for (size_t I = 1; I < Preds.size(); ++I)
+          NewIn.meet(Out[Preds[I]]);
         if (!(NewIn == In[B])) {
-          In[B] = NewIn;
+          In[B] = std::move(NewIn);
           Changed = true;
         }
       }

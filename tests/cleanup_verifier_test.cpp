@@ -25,18 +25,32 @@ namespace {
 ///   entry: <Entry code>; cbr c -> then, join
 ///   then:  <Then code>
 ///   join:  <Join code>; ret
+/// With \p Loop the branch heads a while loop instead: then is the body,
+/// which jumps back to the branch, and join follows the loop exit.
 struct DiamondBuilder {
   IlocFunction F{"test"};
   PdgNode *Entry, *Then, *Join;
   PdgNode *Pred;
 
-  DiamondBuilder() {
+  explicit DiamondBuilder(int NumSlots = 4, bool Loop = false) {
     PdgNode *Root = F.createNode(PdgNodeKind::Region);
     F.setRoot(Root);
     Entry = addStmt(Root);
+    PdgNode *PredParent = Root;
+    if (Loop) {
+      PredParent = F.createNode(PdgNodeKind::Region);
+      PredParent->IsLoop = true;
+      PredParent->Parent = Root;
+      Root->Children.push_back(PredParent);
+    }
     Pred = F.createNode(PdgNodeKind::Predicate);
-    Pred->Parent = Root;
-    Root->Children.push_back(Pred);
+    Pred->Parent = PredParent;
+    PredParent->Children.push_back(Pred);
+    if (Loop) {
+      Pred->JoinLabel = F.newLabel();
+      Pred->Jump = F.createInstr(Opcode::Jmp);
+      Pred->Jump->Label0 = Pred->JoinLabel;
+    }
     Pred->TrueLabel = F.newLabel();
     Pred->FalseLabel = F.newLabel();
     Instr *Br = F.createInstr(Opcode::Cbr);
@@ -48,7 +62,7 @@ struct DiamondBuilder {
     Pred->TrueRegion->Parent = Pred;
     Then = addStmt(Pred->TrueRegion);
     Join = addStmt(Root);
-    for (int I = 0; I < 4; ++I)
+    for (int I = 0; I < NumSlots; ++I)
       F.newSpillSlot();
     // Register namespace for the hand-written code below (the verifier's
     // liveness needs the universe size).
@@ -185,6 +199,94 @@ TEST(GlobalCleanup, LoadBecomesCopyWhenValueInOtherRegister) {
   SpillCleanupResult R = globalSpillCleanup(B.F);
   EXPECT_EQ(R.LoadsToCopies, 1u);
   EXPECT_EQ(B.countOps(Opcode::Mv), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Availability rows past 64 slots
+//===----------------------------------------------------------------------===//
+
+// The availability state keeps one row of slot bits per register, so 131
+// slots take three words per row, the last one holding three slots.
+constexpr int ManySlots = 131;
+
+TEST(CleanupPast64Slots, RegisterDefinitionForgetsSlotsInEveryWord) {
+  DiamondBuilder B(ManySlots);
+  // r1 holds slots 3 (word 0) and 100 (word 1) until it is redefined; r2
+  // keeps slot 101.
+  B.emit(B.Entry, Opcode::StSpill, NoReg, {1}, 3);
+  B.emit(B.Entry, Opcode::StSpill, NoReg, {1}, 100);
+  B.emit(B.Entry, Opcode::StSpill, NoReg, {2}, 101);
+  B.emit(B.Entry, Opcode::Add, 1, {2, 2});
+  B.emit(B.Join, Opcode::LdSpill, 3, {}, 3);   // stays: r1 was redefined
+  B.emit(B.Join, Opcode::LdSpill, 3, {}, 100); // stays: r1 was redefined
+  B.emit(B.Join, Opcode::LdSpill, 3, {}, 101); // becomes mv r3, r2
+  B.emit(B.Join, Opcode::Ret, NoReg, {3});
+  B.F.setAllocated(4);
+  SpillCleanupResult R = globalSpillCleanup(B.F);
+  EXPECT_EQ(R.RemovedLoads, 0u);
+  EXPECT_EQ(R.LoadsToCopies, 1u);
+  EXPECT_EQ(B.countOps(Opcode::LdSpill), 2u);
+}
+
+TEST(CleanupPast64Slots, CopyCarriesSlot70) {
+  DiamondBuilder B(ManySlots);
+  // r2 = r1 copies r1's row, then r1 is redefined: only r2 holds slot 70.
+  B.emit(B.Entry, Opcode::LdSpill, 1, {}, 70);
+  B.emit(B.Entry, Opcode::Mv, 2, {1});
+  B.emit(B.Entry, Opcode::LoadI, 1, {});
+  B.emit(B.Join, Opcode::LdSpill, 2, {}, 70); // deleted: r2 holds it
+  B.emit(B.Join, Opcode::LdSpill, 3, {}, 70); // becomes mv r3, r2
+  B.emit(B.Join, Opcode::Add, 3, {1, 3});
+  B.emit(B.Join, Opcode::Ret, NoReg, {3});
+  B.F.setAllocated(4);
+  SpillCleanupResult R = globalSpillCleanup(B.F);
+  EXPECT_EQ(R.RemovedLoads, 1u);
+  EXPECT_EQ(R.LoadsToCopies, 1u);
+  EXPECT_EQ(B.countOps(Opcode::LdSpill), 1u);
+}
+
+TEST(CleanupPast64Slots, JoinKeepsSlot65OnlyWhenBothPathsHoldIt) {
+  {
+    DiamondBuilder B(ManySlots);
+    B.emit(B.Entry, Opcode::LdSpill, 1, {}, 65);
+    B.emit(B.Then, Opcode::Add, 2, {1, 1});
+    B.emit(B.Join, Opcode::LdSpill, 1, {}, 65); // available on both paths
+    B.emit(B.Join, Opcode::Ret, NoReg, {1});
+    B.F.setAllocated(4);
+    EXPECT_EQ(globalSpillCleanup(B.F).RemovedLoads, 1u);
+    EXPECT_EQ(B.countOps(Opcode::LdSpill), 1u);
+  }
+  {
+    DiamondBuilder B(ManySlots);
+    B.emit(B.Entry, Opcode::LdSpill, 1, {}, 65);
+    B.emit(B.Then, Opcode::StSpill, NoReg, {2}, 65); // r2 on this path only
+    B.emit(B.Join, Opcode::LdSpill, 1, {}, 65);      // must stay
+    B.emit(B.Join, Opcode::Ret, NoReg, {1});
+    B.F.setAllocated(4);
+    SpillCleanupResult R = globalSpillCleanup(B.F);
+    EXPECT_EQ(R.RemovedLoads, 0u);
+    EXPECT_EQ(R.LoadsToCopies, 0u);
+    EXPECT_EQ(B.countOps(Opcode::LdSpill), 2u);
+  }
+}
+
+TEST(CleanupPast64Slots, LoopHeadKeepsTheLastSlotOfAPaddedRow) {
+  // On the first visit of the loop head its back edge still carries the
+  // "everything available" start state. Slot 130 sits in the partial last
+  // word of each row, next to the masked padding bits: unless that start
+  // state holds it, the head loses r1's copy of the slot for good, since
+  // the body never reloads r1.
+  DiamondBuilder B(ManySlots, /*Loop=*/true);
+  B.emit(B.Entry, Opcode::LdSpill, 1, {}, 130);
+  B.emit(B.Then, Opcode::LdSpill, 2, {}, 130); // becomes mv r2, r1
+  B.emit(B.Join, Opcode::LdSpill, 3, {}, 130); // becomes mv r3, r1
+  B.emit(B.Join, Opcode::Add, 3, {2, 3});
+  B.emit(B.Join, Opcode::Ret, NoReg, {3});
+  B.F.setAllocated(4);
+  SpillCleanupResult R = globalSpillCleanup(B.F);
+  EXPECT_EQ(R.RemovedLoads, 0u);
+  EXPECT_EQ(R.LoadsToCopies, 2u);
+  EXPECT_EQ(B.countOps(Opcode::LdSpill), 1u);
 }
 
 //===----------------------------------------------------------------------===//

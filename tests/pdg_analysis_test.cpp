@@ -8,7 +8,8 @@
 /// The general PDG substrate: Ferrante/Ottenstein/Warren control dependence
 /// cross-checked against the structured region tree, reaching-definitions
 /// flow dependence (including Figure 1's loop-carried self-dependence of
-/// i = i + 1), and the DOT export.
+/// i = i + 1), the sparse per-register flow dependences RAP's spill fixup
+/// reads, checked against the whole-function solve, and the DOT export.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,17 +17,117 @@
 #include "oracles/ControlDependence.h"
 #include "oracles/Dominators.h"
 
+#include "benchprogs/BenchPrograms.h"
 #include "cfg/Cfg.h"
+#include "fuzz/ScaleProgram.h"
 #include "ir/Linearize.h"
 #include "pdg/DataDependence.h"
 #include "pdg/Dot.h"
+#include "regalloc/AllocSupport.h"
 
 #include "gtest/gtest.h"
+
+#include <ostream>
 
 using namespace rap;
 using rap::test::compile;
 
+namespace rap {
+void PrintTo(const FlowDep &D, std::ostream *OS) {
+  *OS << "%" << D.R << ": " << D.DefPos << " -> " << D.UsePos;
+}
+} // namespace rap
+
 namespace {
+
+/// The definition positions reaching the use of \p R at \p UsePos.
+std::vector<unsigned> reachingDefs(const DataDependence &DD, unsigned UsePos,
+                                   Reg R) {
+  std::vector<unsigned> Out;
+  for (const FlowDep &F : DD.flowDeps())
+    if (F.UsePos == UsePos && F.R == R)
+      Out.push_back(F.DefPos);
+  return Out;
+}
+
+/// The sparse flow dependences of \p R, fed from RefInfo's def/use index
+/// as RAP's spill fixup feeds them.
+std::vector<FlowDep> sparseFlowDeps(const Cfg &G, const RefInfo &Refs,
+                                    Reg R) {
+  return DataDependence::flowDepsFor(G, R, Refs.defPositions(R),
+                                     Refs.usePositions(R));
+}
+
+/// For every register of \p Code, the sparse flow dependences equal the
+/// whole-function solve filtered to that register.
+void expectSparseMatchesDense(const LinearCode &Code, unsigned NumVRegs,
+                              const std::string &What) {
+  if (Code.Instrs.empty())
+    return;
+  Cfg G(Code);
+  DataDependence DD(Code, G, NumVRegs);
+  std::vector<std::vector<FlowDep>> Dense(NumVRegs);
+  for (const FlowDep &D : DD.flowDeps())
+    Dense[D.R].push_back(D);
+  RefInfo Refs(Code, NumVRegs);
+  for (Reg R = 0; R != NumVRegs; ++R)
+    ASSERT_EQ(sparseFlowDeps(G, Refs, R), Dense[R]) << What << ", %" << R;
+}
+
+/// Runs expectSparseMatchesDense over every function of \p Source, as
+/// lowered (virtual registers) and after RAP at k=5 (physical registers,
+/// each defined many times).
+void expectSparseMatchesDenseOnProgram(const std::string &Source,
+                                       const std::string &What) {
+  for (AllocatorKind A : {AllocatorKind::None, AllocatorKind::Rap}) {
+    CompileOptions Options;
+    Options.Allocator = A;
+    Options.Alloc.K = 5;
+    CompileResult CR = compileMiniC(Source, Options);
+    ASSERT_TRUE(CR.ok()) << What << ":\n" << CR.Errors;
+    for (const auto &F : CR.Prog->functions()) {
+      std::string Where = What + (A == AllocatorKind::Rap ? " rap " : " ") +
+                          F->name();
+      expectSparseMatchesDense(linearize(*F), F->numVRegs(), Where);
+      if (testing::Test::HasFatalFailure())
+        return;
+    }
+  }
+}
+
+/// A linear instruction stream written by hand, for control flow the
+/// structured lowering never emits (unreachable blocks, paths without a
+/// def).
+struct HandCode {
+  IlocFunction F{"hand"};
+  LinearCode Code;
+
+  unsigned emit(Opcode Op, Reg Dst, std::vector<Reg> Src, int L0 = -1,
+                int L1 = -1) {
+    Instr *I = F.createInstr(Op);
+    I->Dst = Dst;
+    I->Src = std::move(Src);
+    I->Label0 = L0;
+    I->Label1 = L1;
+    Code.Instrs.push_back(I);
+    return static_cast<unsigned>(Code.Instrs.size()) - 1;
+  }
+  int label() {
+    Code.LabelPos.push_back(0);
+    return static_cast<int>(Code.LabelPos.size()) - 1;
+  }
+  void bind(int L) {
+    Code.LabelPos[L] = static_cast<unsigned>(Code.Instrs.size());
+  }
+
+  /// Sparse flow dependences of \p R; also checks every register against
+  /// the whole-function solve.
+  std::vector<FlowDep> flowDeps(Reg R, unsigned NumVRegs = 8) {
+    expectSparseMatchesDense(Code, NumVRegs, "hand-built");
+    Cfg G(Code);
+    return sparseFlowDeps(G, RefInfo(Code, NumVRegs), R);
+  }
+};
 
 struct Analysis {
   std::unique_ptr<IlocProgram> Prog;
@@ -187,7 +288,7 @@ TEST(DataDependence, BothBranchDefsReachTheJoin) {
     if (A.Code.Instrs[P]->Op == Opcode::Ret)
       RetPos = P;
   Reg AVar = A.Code.Instrs[RetPos]->Src[0];
-  std::vector<unsigned> Defs = DD.reachingDefs(RetPos, AVar);
+  std::vector<unsigned> Defs = reachingDefs(DD, RetPos, AVar);
   EXPECT_EQ(Defs.size(), 2u);
 }
 
@@ -203,8 +304,109 @@ TEST(DataDependence, KilledDefinitionDoesNotReach) {
   DataDependence DD(A.Code, G, A.F->numVRegs());
   unsigned RetPos = static_cast<unsigned>(A.Code.Instrs.size()) - 1;
   Reg AVar = A.Code.Instrs[RetPos]->Src[0];
-  std::vector<unsigned> Defs = DD.reachingDefs(RetPos, AVar);
+  std::vector<unsigned> Defs = reachingDefs(DD, RetPos, AVar);
   ASSERT_EQ(Defs.size(), 1u) << "the first definition is killed";
+}
+
+TEST(SparseFlowDeps, MatchesDenseOnTable1) {
+  for (const BenchProgram &P : benchPrograms()) {
+    expectSparseMatchesDenseOnProgram(P.Source, P.Name);
+    if (HasFatalFailure())
+      return;
+  }
+}
+
+TEST(SparseFlowDeps, MatchesDenseOnDeepFunctions) {
+  for (unsigned Seed = 1; Seed <= 3; ++Seed) {
+    fuzz::ScaleProgramConfig C;
+    C.Seed = Seed;
+    C.DeepDepth = 3;
+    C.DeepFanout = 3;
+    expectSparseMatchesDenseOnProgram(
+        fuzz::ScaleProgramBuilder(C).buildDeepFunction(),
+        "deep seed " + std::to_string(Seed));
+    if (HasFatalFailure())
+      return;
+  }
+}
+
+TEST(SparseFlowDeps, MatchesDenseOnScaleModule) {
+  fuzz::ScaleProgramConfig C;
+  C.Seed = 1;
+  C.NumFunctions = 40;
+  expectSparseMatchesDenseOnProgram(fuzz::ScaleProgramBuilder(C).buildModule(),
+                                    "module seed 1");
+}
+
+TEST(SparseFlowDeps, LoopCarriedUseAndDefInOneInstruction) {
+  // i = i + 1 alone in a self-loop: the instruction's own def does not reach
+  // its use in the same execution, only in the next iteration.
+  HandCode H;
+  const Reg I = 1, One = 2;
+  int Loop = H.label(), Exit = H.label();
+  unsigned Init = H.emit(Opcode::LoadI, I, {});
+  H.emit(Opcode::LoadI, One, {});
+  H.bind(Loop);
+  unsigned Inc = H.emit(Opcode::Add, I, {I, One});
+  H.emit(Opcode::Cbr, NoReg, {I}, Loop, Exit);
+  H.bind(Exit);
+  unsigned Ret = H.emit(Opcode::Ret, NoReg, {I});
+  std::vector<FlowDep> Want = {{Init, Inc, I},
+                               {Inc, Inc, I},
+                               {Inc, Inc + 1, I},
+                               {Inc, Ret, I}};
+  EXPECT_EQ(H.flowDeps(I), Want);
+}
+
+TEST(SparseFlowDeps, DefInAnUnreachableBlockStillReachesItsSuccessor) {
+  // The block after the jump has no predecessor. Its use of x sees no def;
+  // its def of x falls through to the join like any other.
+  HandCode H;
+  const Reg X = 1, Y = 2;
+  int Join = H.label();
+  unsigned D0 = H.emit(Opcode::LoadI, X, {});
+  H.emit(Opcode::Jmp, NoReg, {}, Join);
+  H.emit(Opcode::Add, Y, {X, X});
+  unsigned D1 = H.emit(Opcode::LoadI, X, {});
+  H.bind(Join);
+  unsigned Ret = H.emit(Opcode::Ret, NoReg, {X});
+  std::vector<FlowDep> Want = {{D0, Ret, X}, {D1, Ret, X}};
+  EXPECT_EQ(H.flowDeps(X), Want);
+}
+
+TEST(SparseFlowDeps, ParameterUsesWithoutADef) {
+  // q is read and never written; p is written on one arm only, so the use
+  // before the branch and the path through the other arm contribute none.
+  HandCode H;
+  const Reg P = 0, Q = 1, Y = 2;
+  int Then = H.label(), Else = H.label(), Join = H.label();
+  H.emit(Opcode::Add, Y, {P, Q});
+  H.emit(Opcode::Cbr, NoReg, {Q}, Then, Else);
+  H.bind(Then);
+  H.emit(Opcode::Jmp, NoReg, {}, Join);
+  H.bind(Else);
+  unsigned Def = H.emit(Opcode::LoadI, P, {});
+  H.bind(Join);
+  unsigned Ret = H.emit(Opcode::Ret, NoReg, {P});
+  EXPECT_TRUE(H.flowDeps(Q).empty());
+  std::vector<FlowDep> Want = {{Def, Ret, P}};
+  EXPECT_EQ(H.flowDeps(P), Want);
+}
+
+TEST(SparseFlowDeps, TwoDefsInOneBlock) {
+  // A use pairs with the nearest earlier def in its block; a successor
+  // block sees only the block's last def.
+  HandCode H;
+  const Reg X = 1, Y = 2;
+  int Next = H.label();
+  unsigned D0 = H.emit(Opcode::LoadI, X, {});
+  unsigned U0 = H.emit(Opcode::Add, Y, {X, X});
+  unsigned D1 = H.emit(Opcode::LoadI, X, {});
+  H.emit(Opcode::Jmp, NoReg, {}, Next);
+  H.bind(Next);
+  unsigned Ret = H.emit(Opcode::Ret, NoReg, {X});
+  std::vector<FlowDep> Want = {{D0, U0, X}, {D1, Ret, X}};
+  EXPECT_EQ(H.flowDeps(X), Want);
 }
 
 TEST(Dot, EmitsNodesAndBothEdgeKinds) {

@@ -84,8 +84,9 @@ CompileResult compileDegradable(const std::string &Source,
     Interpreter Interp(*CR.Prog);
     RunResult R = Interp.run();
     EXPECT_TRUE(R.Ok) << R.Error;
-    if (R.Ok)
+    if (R.Ok) {
       EXPECT_EQ(R.ReturnValue.asInt(), Want);
+    }
   }
   return CR;
 }
@@ -233,9 +234,11 @@ TEST_P(ResourceGuards, WallClockBudgetDegrades) {
   Opts.Alloc.VerifyAssignments = true;
   CompileResult CR = compileDegradable(MultiFunctionSource, Opts, Want);
   EXPECT_TRUE(CR.degraded());
-  for (const AllocOutcome &O : CR.AllocOutcomes)
-    if (O.degraded())
+  for (const AllocOutcome &O : CR.AllocOutcomes) {
+    if (O.degraded()) {
       EXPECT_EQ(O.ErrorKind, AllocErrorKind::ResourceLimit) << O.Error;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Allocators, ResourceGuards,
