@@ -69,18 +69,6 @@ static bool anyWithin(PosSpan Sorted, unsigned Begin, unsigned End) {
   return It != Sorted.end() && *It < End;
 }
 
-static bool allWithin(PosSpan Sorted, unsigned Begin, unsigned End) {
-  for (unsigned P : Sorted)
-    if (P < Begin || P >= End)
-      return false;
-  return true;
-}
-
-bool RefInfo::allRefsWithin(Reg R, unsigned Begin, unsigned End) const {
-  return allWithin(usePositions(R), Begin, End) &&
-         allWithin(defPositions(R), Begin, End);
-}
-
 bool RefInfo::usedWithin(Reg R, unsigned Begin, unsigned End) const {
   return anyWithin(usePositions(R), Begin, End);
 }
@@ -93,8 +81,8 @@ bool RefInfo::definedWithin(Reg R, unsigned Begin, unsigned End) const {
 // CodeEditor
 //===----------------------------------------------------------------------===//
 
-void CodeEditor::refresh() {
-  Owners.assign(F.numInstrIds(), Owner{});
+CodeEditor::CodeEditor(IlocFunction &F)
+    : F(F), Owners(F.numInstrIds(), Owner{}) {
   F.root()->forEachNode([&](const PdgNode *N) {
     if (!N->isStatement() && !N->isPredicate())
       return;

@@ -78,8 +78,12 @@ public:
 
   /// True if every reference of \p R lies in the linear range
   /// [\p Begin, \p End) — i.e. R is *local* to the region covering that
-  /// range (paper §3.1).
-  bool allRefsWithin(Reg R, unsigned Begin, unsigned End) const;
+  /// range (paper §3.1). O(1): positions are sorted, so only the first and
+  /// last of each list are checked.
+  bool allRefsWithin(Reg R, unsigned Begin, unsigned End) const {
+    return allWithin(usePositions(R), Begin, End) &&
+           allWithin(defPositions(R), Begin, End);
+  }
 
   /// True if some use/def of \p R lies in [\p Begin, \p End).
   bool usedWithin(Reg R, unsigned Begin, unsigned End) const;
@@ -89,6 +93,10 @@ public:
   }
 
 private:
+  static bool allWithin(PosSpan Sorted, unsigned Begin, unsigned End) {
+    return Sorted.empty() || (Sorted.front() >= Begin && Sorted.back() < End);
+  }
+
   /// CSR layout: positions of register R occupy [Start[R], Start[R+1]) of
   /// the flat position array, ascending within each register.
   std::vector<unsigned> UseStart, DefStart;
@@ -97,16 +105,15 @@ private:
 
 /// Edits ILOC attached to a function's region tree: locates an
 /// instruction's owning code vector and inserts spill code around it or at
-/// region boundaries. Anchors must exist in the tree; the editor walks the
-/// tree lazily and re-walks after external structural changes via refresh().
-/// The owner map is indexed by the function-unique instruction id, so
-/// lookups are O(1) and construction allocates a single vector.
+/// region boundaries. Anchors must exist in the tree. Construction walks the
+/// tree once to map each instruction to its owner; the editor keeps the map
+/// exact for its own insertions, so one editor serves any number of edits
+/// as long as nothing else moves instructions between nodes (renaming
+/// registers in place is fine). The owner map is indexed by the
+/// function-unique instruction id, so lookups are O(1).
 class CodeEditor {
 public:
-  explicit CodeEditor(IlocFunction &F) : F(F) { refresh(); }
-
-  /// Re-scans the region tree (call after structural edits made elsewhere).
-  void refresh();
+  explicit CodeEditor(IlocFunction &F);
 
   /// Inserts \p NewI immediately before \p Anchor. When the anchor is a
   /// predicate's branch, the instruction goes at the end of the predicate's

@@ -10,10 +10,22 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <sstream>
 
 using namespace rap;
+
+/// Merges the sorted list \p B into the sorted list \p A (the two are
+/// disjoint), back to front so no scratch buffer is needed.
+static void mergeSortedInto(std::vector<Reg> &A, const std::vector<Reg> &B) {
+  size_t I = A.size(), J = B.size(), K = I + J;
+  A.resize(K);
+  while (J != 0) {
+    if (I != 0 && A[I - 1] > B[J - 1])
+      A[--K] = A[--I];
+    else
+      A[--K] = B[--J];
+  }
+}
 
 void InterferenceGraph::mapReg(Reg R, unsigned Id) {
   if (R >= NodeOfReg.size())
@@ -66,11 +78,9 @@ unsigned InterferenceGraph::mergeNodes(unsigned N1, unsigned N2) {
              "global-global rule should have prevented this");
   Node &A = Nodes[N1];
   Node &B = Nodes[N2];
-  for (Reg R : B.VRegs) {
-    A.VRegs.push_back(R);
+  for (Reg R : B.VRegs)
     mapReg(R, N1);
-  }
-  std::sort(A.VRegs.begin(), A.VRegs.end());
+  mergeSortedInto(A.VRegs, B.VRegs);
   A.Global = A.Global || B.Global;
   for (unsigned Other : Adj[N2]) {
     clearBit(N2, Other);
@@ -108,8 +118,8 @@ void InterferenceGraph::addRegToNode(unsigned Id, Reg R) {
              "adding register to a dead node");
   allocCheck(nodeOf(R) < 0, AllocErrorKind::InvariantViolation,
              "register already present in the graph");
-  Nodes[Id].VRegs.push_back(R);
-  std::sort(Nodes[Id].VRegs.begin(), Nodes[Id].VRegs.end());
+  auto &VR = Nodes[Id].VRegs;
+  VR.insert(std::lower_bound(VR.begin(), VR.end(), R), R);
   mapReg(R, Id);
 }
 
@@ -145,43 +155,38 @@ size_t InterferenceGraph::memoryBytes() const {
 
 InterferenceGraph InterferenceGraph::combinedByColor() const {
   InterferenceGraph Out;
-  std::map<int, unsigned> NodeOfColor;
+  // Combined node of each color, created in order of the color's first
+  // alive node; -1 while the color is unused.
+  std::vector<int> NodeOfColor;
   for (unsigned I = 0, E = static_cast<unsigned>(Nodes.size()); I != E; ++I) {
     const Node &N = Nodes[I];
     if (!N.Alive)
       continue;
     allocCheck(N.Color >= 0, AllocErrorKind::InvariantViolation,
                "combining an uncolored graph");
-    auto It = NodeOfColor.find(N.Color);
-    if (It == NodeOfColor.end()) {
-      unsigned NewId = Out.getOrCreateNode(N.VRegs.front());
-      for (size_t V = 1; V < N.VRegs.size(); ++V) {
-        Out.Nodes[NewId].VRegs.push_back(N.VRegs[V]);
-        Out.mapReg(N.VRegs[V], NewId);
-      }
-      Out.Nodes[NewId].Global = N.Global;
-      Out.Nodes[NewId].Color = N.Color;
-      NodeOfColor[N.Color] = NewId;
+    if (static_cast<size_t>(N.Color) >= NodeOfColor.size())
+      NodeOfColor.resize(static_cast<size_t>(N.Color) + 1, -1);
+    int &Tgt = NodeOfColor[static_cast<size_t>(N.Color)];
+    if (Tgt < 0) {
+      Tgt = static_cast<int>(Out.getOrCreateNode(N.VRegs.front()));
+      Out.Nodes[Tgt].VRegs = N.VRegs;
+      Out.Nodes[Tgt].Color = N.Color;
     } else {
-      unsigned Tgt = It->second;
-      for (Reg R : N.VRegs) {
-        Out.Nodes[Tgt].VRegs.push_back(R);
-        Out.mapReg(R, Tgt);
-      }
-      Out.Nodes[Tgt].Global = Out.Nodes[Tgt].Global || N.Global;
+      mergeSortedInto(Out.Nodes[Tgt].VRegs, N.VRegs);
     }
+    for (Reg R : N.VRegs)
+      Out.mapReg(R, static_cast<unsigned>(Tgt));
+    Out.Nodes[Tgt].Global = Out.Nodes[Tgt].Global || N.Global;
   }
-  for (auto &N : Out.Nodes)
-    std::sort(N.VRegs.begin(), N.VRegs.end());
   // Edges: colors interfere when any member nodes interfered.
   for (unsigned I = 0, E = static_cast<unsigned>(Nodes.size()); I != E; ++I) {
     if (!Nodes[I].Alive)
       continue;
+    unsigned A = static_cast<unsigned>(NodeOfColor[Nodes[I].Color]);
     for (unsigned J : Adj[I]) {
       if (J < I)
         continue;
-      unsigned A = NodeOfColor.at(Nodes[I].Color);
-      unsigned B = NodeOfColor.at(Nodes[J].Color);
+      unsigned B = static_cast<unsigned>(NodeOfColor[Nodes[J].Color]);
       allocCheck(A != B, AllocErrorKind::InvariantViolation,
                  "properly colored graphs cannot merge adjacent nodes");
       Out.addEdgeNodes(A, B);

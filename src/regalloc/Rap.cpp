@@ -44,6 +44,17 @@ namespace {
 constexpr double LocalOrSpilledCost = 999999.0; // paper Figure 5
 constexpr double InfiniteCost = 1e18;           // atomic spill temporaries
 constexpr unsigned MaxSpillActions = 50000;
+
+/// Summary of a set of region-global origins: NoReg when empty, the origin
+/// when it has one element, ManyGlobals for more.
+constexpr Reg ManyGlobals = NoReg - 1;
+Reg unionGlobals(Reg A, Reg B) {
+  if (A == NoReg || A == B)
+    return B;
+  if (B == NoReg)
+    return A;
+  return ManyGlobals;
+}
 } // namespace
 
 RapAllocator::RapAllocator(IlocFunction &F, const AllocOptions &Options)
@@ -74,12 +85,29 @@ bool RapAllocator::isGlobalTo(Reg R, const PdgNode *V) const {
 
 int RapAllocator::slotOf(Reg V) {
   Reg Origin = originOf(V);
-  auto It = SlotOf.find(Origin);
-  if (It != SlotOf.end())
-    return It->second;
-  int Slot = F.newSpillSlot();
-  SlotOf[Origin] = Slot;
-  return Slot;
+  if (!hasSlot(Origin)) {
+    if (Origin >= SlotOf.size())
+      SlotOf.resize(Origin + 1, -1);
+    SlotOf[Origin] = F.newSpillSlot();
+  }
+  return SlotOf[Origin];
+}
+
+Reg RapAllocator::newPieceOf(Reg V, bool Atomic) {
+  Reg Origin = originOf(V);
+  Reg T = F.newVReg();
+  if (T >= OriginOf.size())
+    OriginOf.resize(T + 1, NoReg);
+  OriginOf[T] = Origin;
+  if (Atomic)
+    NoSpill.insert(T);
+  return T;
+}
+
+CodeEditor &RapAllocator::editor() {
+  if (!Editor)
+    Editor = std::make_unique<CodeEditor>(F);
+  return *Editor;
 }
 
 //===----------------------------------------------------------------------===//
@@ -134,8 +162,8 @@ InterferenceGraph RapAllocator::buildRegionGraphImpl(
     if (!I->hasDef())
       continue;
     Reg D = I->Dst;
-    CI->Live.liveAfter(I->LinPos).forEach([&](unsigned L) {
-      if (L == D || !Vars.test(L))
+    CI->Live.liveAfter(I->LinPos).forEachCommon(Vars, [&](unsigned L) {
+      if (L == D)
         return;
       if (I->Op == Opcode::Mv && L == I->Src[0])
         return;
@@ -147,10 +175,7 @@ InterferenceGraph RapAllocator::buildRegionGraphImpl(
   // Registers live on entrance to the region and referenced here coexist.
   const BitVector &LiveInV = CI->Live.liveInOf(*V);
   std::vector<Reg> LiveRefs;
-  RefsPC.forEach([&](unsigned R) {
-    if (LiveInV.test(R))
-      LiveRefs.push_back(R);
-  });
+  RefsPC.forEachCommon(LiveInV, [&](unsigned R) { LiveRefs.push_back(R); });
   for (size_t A = 0; A != LiveRefs.size(); ++A)
     for (size_t B = A + 1; B != LiveRefs.size(); ++B)
       G.addEdge(LiveRefs[A], LiveRefs[B]);
@@ -159,14 +184,19 @@ InterferenceGraph RapAllocator::buildRegionGraphImpl(
   // Live-in registers not referenced at this level conflict with every node
   // referenced here (Figure 3's virtual register d).
   std::vector<unsigned> PreNodes = G.aliveNodes();
-  Vars.forEach([&](unsigned VK) {
-    if (RefsPC.test(VK) || !LiveInV.test(VK))
+  Vars.forEachCommon(LiveInV, [&](unsigned VK) {
+    if (RefsPC.test(VK))
       return;
     unsigned N = G.getOrCreateNode(VK);
     for (unsigned M : PreNodes)
       G.addEdgeNodes(N, M);
   });
 
+  // Per-subregion import tables, reused across subregions: the alive
+  // subregion nodes in ascending order, the node each one landed in (by
+  // position), and the landing node by subregion node id.
+  std::vector<unsigned> AliveS, Targets, TargetOf;
+  std::vector<Reg> Fresh;
   for (PdgNode *S : V->subregions()) {
     const InterferenceGraph *GSPtr = SubGraph(S);
     allocCheck(GSPtr != nullptr, AllocErrorKind::InvariantViolation,
@@ -175,10 +205,12 @@ InterferenceGraph RapAllocator::buildRegionGraphImpl(
 
     // Import each combined subregion node, merging with existing nodes that
     // name the same virtual register.
-    std::map<unsigned, unsigned> Imported;
-    for (unsigned NS : GS.aliveNodes()) {
+    AliveS = GS.aliveNodes();
+    Targets.clear();
+    TargetOf.assign(GS.numNodesTotal(), 0);
+    for (unsigned NS : AliveS) {
       int Target = -1;
-      std::vector<Reg> Fresh;
+      Fresh.clear();
       for (Reg R : GS.node(NS).VRegs) {
         int Existing = G.nodeOf(R);
         if (Existing < 0) {
@@ -191,31 +223,31 @@ InterferenceGraph RapAllocator::buildRegionGraphImpl(
           Target = static_cast<int>(G.mergeNodes(
               static_cast<unsigned>(Target), static_cast<unsigned>(Existing)));
       }
+      size_t FirstFresh = 0;
       if (Target < 0) {
         allocCheck(!Fresh.empty(), AllocErrorKind::InvariantViolation,
                    "empty subregion node");
         Target = static_cast<int>(G.getOrCreateNode(Fresh.front()));
-        Fresh.erase(Fresh.begin());
+        FirstFresh = 1;
       }
-      for (Reg R : Fresh)
-        G.addRegToNode(static_cast<unsigned>(Target), R);
-      Imported[NS] = static_cast<unsigned>(Target);
+      for (size_t J = FirstFresh; J < Fresh.size(); ++J)
+        G.addRegToNode(static_cast<unsigned>(Target), Fresh[J]);
+      Targets.push_back(static_cast<unsigned>(Target));
+      TargetOf[NS] = static_cast<unsigned>(Target);
     }
-    for (unsigned NS : GS.aliveNodes())
+    for (unsigned NS : AliveS)
       for (unsigned MS : GS.adjacency(NS))
         if (MS > NS)
-          G.addEdgeNodes(Imported.at(NS), Imported.at(MS));
+          G.addEdgeNodes(TargetOf[NS], TargetOf[MS]);
 
     // Registers live across (but unreferenced in) the subregion conflict
     // with everything allocated inside it.
     const BitVector &LiveInS = CI->Live.liveInOf(*S);
-    Vars.forEach([&](unsigned VK) {
-      if (VK >= LiveInS.size() || !LiveInS.test(VK))
-        return;
+    Vars.forEachCommon(LiveInS, [&](unsigned VK) {
       if (Refs->referencedWithin(VK, S->LinBegin, S->LinEnd))
         return;
       unsigned N = G.getOrCreateNode(VK);
-      for (auto &[NS, NG] : Imported)
+      for (unsigned NG : Targets)
         G.addEdgeNodes(N, NG);
     });
   }
@@ -223,77 +255,113 @@ InterferenceGraph RapAllocator::buildRegionGraphImpl(
   // Pieces of one split register represent the same virtual register
   // (paper §3.1.1); merge their nodes when they do not interfere so they
   // allocate — and later move — as a unit.
-  {
-    auto GlobalOriginsOf = [&](unsigned N) {
-      std::set<Reg> Out;
-      for (Reg R : G.node(N).VRegs)
-        if (isGlobalTo(R, V))
-          Out.insert(originOf(R));
-      return Out;
-    };
-    auto MergeOnePair = [&]() -> bool {
-      std::map<Reg, unsigned> NodeOfOrigin;
-      for (unsigned N : G.aliveNodes()) {
-        for (Reg R : G.node(N).VRegs) {
-          Reg Origin = originOf(R);
-          if (Origin == R && !SlotOf.count(Origin))
-            continue; // never split
-          if (NoMergeOrigins.count(Origin))
-            continue; // merging proved uncolorable earlier
-          auto [It, Inserted] = NodeOfOrigin.try_emplace(Origin, N);
-          if (Inserted || It->second == N)
-            continue;
-          if (G.interfere(N, It->second))
-            continue; // overlapping pieces (e.g. two loads at one instr)
-          // Keep the global-global invariant: the union may cover at most
-          // one global origin (same-origin pieces count once).
-          std::set<Reg> Globals = GlobalOriginsOf(N);
-          for (Reg O : GlobalOriginsOf(It->second))
-            Globals.insert(O);
-          if (Globals.size() > 1)
-            continue;
-          G.mergeNodes(It->second, N);
-          return true;
-        }
-      }
-      return false;
-    };
-    while (MergeOnePair()) {
-    }
-  }
+  mergeSplitPieces(G, V);
 
-  if (Options.Coalesce) {
-    auto GlobalOriginCount = [&](unsigned N1, unsigned N2) {
-      std::set<Reg> Origins;
-      for (unsigned N : {N1, N2})
-        for (Reg R : G.node(N).VRegs)
-          if (isGlobalTo(R, V))
-            Origins.insert(originOf(R));
-      return Origins.size();
-    };
-    coalesceConservatively(G, PC, Options.K,
-                           [&](unsigned A, unsigned B) {
-                             return GlobalOriginCount(A, B) <= 1;
-                           });
-  }
+  // A node's region-global origins, folded to one value: NoReg for none,
+  // the origin for exactly one, ManyGlobals for two or more (pieces of one
+  // origin count once).
+  auto GlobalsOf = [&](unsigned N, Reg Acc) {
+    for (Reg R : G.node(N).VRegs)
+      if (isGlobalTo(R, V))
+        Acc = unionGlobals(Acc, originOf(R));
+    return Acc;
+  };
+  if (Options.Coalesce)
+    coalesceConservatively(G, PC, Options.K, [&](unsigned A, unsigned B) {
+      return GlobalsOf(B, GlobalsOf(A, NoReg)) != ManyGlobals;
+    });
 
   // Classify nodes and check the single-global invariant implied by the
   // global-global coloring rule (pieces of one origin count once: they
   // never coexist, so sharing a color is always sound for them).
   for (unsigned N : G.aliveNodes()) {
-    auto &Node = G.node(N);
-    std::set<Reg> GlobalOrigins;
-    for (Reg R : Node.VRegs)
-      if (isGlobalTo(R, V))
-        GlobalOrigins.insert(originOf(R));
-    Node.Global = !GlobalOrigins.empty();
-    if (GlobalOrigins.size() > 1)
+    Reg Globals = GlobalsOf(N, NoReg);
+    G.node(N).Global = Globals != NoReg;
+    if (Globals == ManyGlobals)
       throwAllocError(AllocErrorKind::InvariantViolation,
                       "combined node holds two region-global virtual "
                       "registers",
                       F.name(), V->Id);
   }
   return G;
+}
+
+void RapAllocator::mergeSplitPieces(InterferenceGraph &G,
+                                    const PdgNode *V) const {
+  // Each node's region-global origins and number of mergeable pieces,
+  // computed once: merging adds them up.
+  const unsigned NumNodes = G.numNodesTotal();
+  std::vector<Reg> Globals(NumNodes, NoReg);
+  std::vector<unsigned> Pieces(NumNodes, 0);
+  Reg MaxOrigin = 0;
+  unsigned NumPieces = 0;
+  for (unsigned N = 0; N != NumNodes; ++N) {
+    if (!G.node(N).Alive)
+      continue;
+    for (Reg R : G.node(N).VRegs) {
+      Reg Origin = originOf(R);
+      if (isGlobalTo(R, V))
+        Globals[N] = unionGlobals(Globals[N], Origin);
+      if (mergesAsPiece(R, Origin)) {
+        ++Pieces[N];
+        ++NumPieces;
+        MaxOrigin = std::max(MaxOrigin, Origin);
+      }
+    }
+  }
+  if (NumPieces < 2)
+    return;
+
+  // The scan pairs each piece with the first node (in ascending id order)
+  // holding a piece of the same origin. FirstNode[Origin] is that node, or
+  // -1; Seen lists the recorded origins in scan order, so node ids along it
+  // never decrease.
+  std::vector<int> FirstNode(static_cast<size_t>(MaxOrigin) + 1, -1);
+  std::vector<Reg> Seen;
+  unsigned N = 0;
+  while (N != NumNodes) {
+    if (!G.node(N).Alive || Pieces[N] == 0) {
+      ++N; // a node without pieces neither records nor merges
+      continue;
+    }
+    int Survivor = -1;
+    for (Reg R : G.node(N).VRegs) {
+      Reg Origin = originOf(R);
+      if (!mergesAsPiece(R, Origin))
+        continue; // never split, or merging proved uncolorable earlier
+      int &First = FirstNode[Origin];
+      if (First < 0) {
+        First = static_cast<int>(N);
+        Seen.push_back(Origin);
+        continue;
+      }
+      unsigned M = static_cast<unsigned>(First);
+      if (M == N || G.interfere(N, M))
+        continue; // overlapping pieces (e.g. two loads at one instr)
+      // Keep the global-global invariant: the union may cover at most one
+      // global origin.
+      Reg Union = unionGlobals(Globals[M], Globals[N]);
+      if (Union == ManyGlobals)
+        continue;
+      G.mergeNodes(M, N);
+      Globals[M] = Union;
+      Pieces[M] += Pieces[N];
+      Survivor = First;
+      break;
+    }
+    if (Survivor < 0) {
+      ++N;
+      continue;
+    }
+    // Nodes before the survivor kept their registers, edges and global
+    // origins, so rescanning them would decide exactly as before: resume at
+    // the survivor, forgetting what was recorded from it onward.
+    while (!Seen.empty() && FirstNode[Seen.back()] >= Survivor) {
+      FirstNode[Seen.back()] = -1;
+      Seen.pop_back();
+    }
+    N = static_cast<unsigned>(Survivor);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -326,7 +394,7 @@ void RapAllocator::calcSpillCosts(PdgNode *V, InterferenceGraph &G) {
     unsigned NumSpillable = 0;
     bool AnyProfitable = false;
     for (Reg R : Node.VRegs) {
-      if (NoSpill.count(R) || GloballySpilled.count(R) || Spilled.count(R))
+      if (NoSpill.test(R) || GloballySpilled.test(R) || Spilled.count(R))
         continue;
       ++NumSpillable;
       // Paper Figure 5: a register whose references all live inside one
@@ -449,8 +517,7 @@ InterferenceGraph RapAllocator::allocRegion(PdgNode *V) {
         // with them separate.
         for (Reg R : G.node(N).VRegs) {
           Reg Origin = originOf(R);
-          if ((Origin != R || SlotOf.count(Origin)) &&
-              NoMergeOrigins.insert(Origin).second)
+          if (isPiece(R, Origin) && NoMergeOrigins.insert(Origin))
             SplitProgress = true;
         }
         continue;
@@ -477,9 +544,9 @@ void RapAllocator::spillQueueRun(std::vector<std::pair<Reg, PdgNode *>> Queue) {
   // longer describe the edited code, so those subtrees are re-allocated
   // bottom-up once the queue drains.
   std::set<PdgNode *> Dirty;
-  while (!Queue.empty()) {
-    auto [V, R] = Queue.front();
-    Queue.erase(Queue.begin());
+  // FIFO: entries are read in order and deferred spills append at the back.
+  for (size_t Head = 0; Head != Queue.size(); ++Head) {
+    auto [V, R] = Queue[Head];
     if (++TotalSpillActions > MaxSpillActions)
       throwAllocError(AllocErrorKind::ResourceLimit,
                       "spill storm: more than " +
@@ -568,7 +635,7 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
                             std::vector<std::pair<Reg, PdgNode *>> &Deferred) {
   allocCheck(R->isRegion(), AllocErrorKind::InvariantViolation,
              "spills target regions");
-  if (NoSpill.count(V))
+  if (NoSpill.test(V))
     return false; // an atomic spill range cannot be spilled again
   if (!Refs->referencedWithin(V, R->LinBegin, R->LinEnd) ||
       SpilledIn[R].count(V)) {
@@ -659,7 +726,7 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
                  "loadedU=%zu storedD=%zu)\n",
                  V, R->Id, PCUses.size(), PCDefs.size(), SubActions.size(),
                  LoadedUses.size(), StoredDefs.size());
-  CodeEditor Editor(F);
+  CodeEditor &Editor = editor();
 
   // Parameter values arrive in a register; park them in the slot once.
   if (NeedParamStore) {
@@ -674,9 +741,7 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
 
   // Parent-level references go through fresh atomic live ranges...
   for (Instr *User : PCUses) {
-    Reg T = F.newVReg();
-    NoSpill.insert(T);
-    OriginOf[T] = originOf(V);
+    Reg T = newPieceOf(V, /*Atomic=*/true);
     Instr *Ld = F.createInstr(Opcode::LdSpill);
     Ld->Dst = T;
     Ld->Slot = Slot;
@@ -687,9 +752,7 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
         Op = T;
   }
   for (Instr *Def : PCDefs) {
-    Reg D = F.newVReg();
-    NoSpill.insert(D);
-    OriginOf[D] = originOf(V);
+    Reg D = newPieceOf(V, /*Atomic=*/true);
     Def->Dst = D;
     Instr *St = F.createInstr(Opcode::StSpill);
     St->Slot = Slot;
@@ -702,8 +765,7 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
   // definitions on exit, and renames the register so it becomes local
   // (paper §3.1.4)...
   for (const SubAction &A : SubActions) {
-    Reg VS = F.newVReg();
-    OriginOf[VS] = originOf(V);
+    Reg VS = newPieceOf(V, /*Atomic=*/false);
     if (A.Load) {
       Instr *Ld = F.createInstr(Opcode::LdSpill);
       Ld->Dst = VS;
@@ -744,7 +806,7 @@ bool RapAllocator::trySpill(Reg V, PdgNode *R,
 }
 
 bool RapAllocator::spillEverywhere(Reg V) {
-  if (GloballySpilled.count(V))
+  if (GloballySpilled.test(V))
     return false;
   Injector.hit(FaultSite::SpillInsert);
   GloballySpilled.insert(V);
@@ -753,7 +815,7 @@ bool RapAllocator::spillEverywhere(Reg V) {
   if (rapDebug())
     std::fprintf(stderr, "[spill] %%%u everywhere (uses=%zu defs=%zu)\n", V,
                  Refs->usePositions(V).size(), Refs->defPositions(V).size());
-  CodeEditor Editor(F);
+  CodeEditor &Editor = editor();
 
   if (V < F.numParams() && !ParamStoreDone.count(V)) {
     ParamStoreDone.insert(V);
@@ -795,7 +857,7 @@ bool RapAllocator::spillEverywhere(Reg V) {
 // Phase 1e: speculative region-parallel first round (DESIGN.md §14)
 //===----------------------------------------------------------------------===//
 //
-// Determinism argument, in brief: before the first spill, every map the
+// Determinism argument, in brief: before the first spill, all the state the
 // sequential walk consults (SpilledIn, SlotOf, NoSpill, GloballySpilled,
 // OriginOf, NoMergeOrigins) is empty and the analysis snapshot (CodeInfo /
 // RefInfo / liveness) is read-only, so a region's first build/cost/color

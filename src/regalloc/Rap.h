@@ -76,6 +76,25 @@ public:
   bool isGlobalTo(Reg R, const PdgNode *V) const;
 
 private:
+  /// A set of registers, dense and indexed by register; registers past the
+  /// end read as absent.
+  class RegFlags {
+  public:
+    bool test(Reg R) const { return R < Bits.size() && Bits[R]; }
+    /// Adds \p R; returns true if it was absent.
+    bool insert(Reg R) {
+      if (R >= Bits.size())
+        Bits.resize(R + 1, 0);
+      if (Bits[R])
+        return false;
+      Bits[R] = 1;
+      return true;
+    }
+
+  private:
+    std::vector<char> Bits;
+  };
+
   /// Shared body of buildRegionGraph: \p SubGraph resolves a subregion's
   /// combined interference graph. The sequential walk resolves from
   /// SavedGraphs; the region-parallel phase resolves from its per-task
@@ -97,6 +116,12 @@ private:
   /// sequential walk, which then reproduces the sequential outcome exactly
   /// (same spills, same stats, same error if any).
   bool runRegionParallelPhase1(InterferenceGraph &Final);
+
+  /// Merges the nodes of pieces of one split register (paper §3.1.1) when
+  /// they do not interfere and the union holds at most one region-global
+  /// origin. One ascending scan over the nodes; after a merge it resumes at
+  /// the surviving node.
+  void mergeSplitPieces(InterferenceGraph &G, const PdgNode *V) const;
 
   void spillQueueRun(std::vector<std::pair<Reg, PdgNode *>> Queue);
 
@@ -149,8 +174,12 @@ private:
   /// re-allocation never targets these.
   std::set<const PdgNode *> InProgress;
 
-  std::map<Reg, int> SlotOf;
-  std::set<Reg> GloballySpilled;
+  /// Spill slot of each origin register (indexed by origin; -1 = none yet).
+  std::vector<int> SlotOf;
+  bool hasSlot(Reg Origin) const {
+    return Origin < SlotOf.size() && SlotOf[Origin] >= 0;
+  }
+  RegFlags GloballySpilled;
   std::set<Reg> ParamStoreDone;
 
   /// Registers whose references were edited since the last refresh(). Spill
@@ -168,27 +197,48 @@ private:
   /// Atomic live ranges created by spill rewrites. Spilling them again can
   /// never help, so they carry infinite cost (above the paper's 999999 for
   /// merely-unprofitable nodes) and trySpill skips them.
-  std::set<Reg> NoSpill;
+  RegFlags NoSpill;
 
   /// Spill rewrites split a register into renamed per-subregion pieces and
-  /// atomic temporaries. All pieces map back to the original register here;
+  /// atomic temporaries. All pieces map back to the original register here
+  /// (indexed by piece; NoReg, or past the end, for an unsplit register);
   /// the paper treats them as *the same virtual register*, so region graphs
   /// merge their nodes ("since these nodes represent the same virtual
   /// register, they are combined in the parent's interference graph",
   /// §3.1.1) — which is also what lets phase 2 move their loads as one.
-  std::map<Reg, Reg> OriginOf;
+  std::vector<Reg> OriginOf;
 
   /// The original register \p R descends from (identity when unsplit).
   Reg originOf(Reg R) const {
-    auto It = OriginOf.find(R);
-    return It == OriginOf.end() ? R : It->second;
+    return R < OriginOf.size() && OriginOf[R] != NoReg ? OriginOf[R] : R;
   }
+
+  /// A fresh register for a piece of \p V (an atomic spill temporary when
+  /// \p Atomic).
+  Reg newPieceOf(Reg V, bool Atomic);
 
   /// Origins whose pieces must stay in separate nodes: merging them
   /// produced a node that could neither color nor spill (no single color
   /// suits every piece), so the unit-allocation preference is abandoned for
   /// them.
-  std::set<Reg> NoMergeOrigins;
+  RegFlags NoMergeOrigins;
+
+  /// True if \p R (descended from \p Origin) belongs to a split register.
+  bool isPiece(Reg R, Reg Origin) const {
+    return Origin != R || hasSlot(Origin);
+  }
+  /// True if \p R is a piece whose node may merge with the other pieces'
+  /// nodes (see mergeSplitPieces).
+  bool mergesAsPiece(Reg R, Reg Origin) const {
+    return isPiece(R, Origin) && !NoMergeOrigins.test(Origin);
+  }
+
+  /// The lazily built editor every phase-1 spill action inserts through.
+  /// Its owner map stays exact across actions: phase-1 edits are its own
+  /// insertions and in-place renames, which move no instruction.
+  CodeEditor &editor();
+  std::unique_ptr<CodeEditor> Editor;
+
   unsigned TotalSpillActions = 0;
 };
 

@@ -14,6 +14,7 @@
 #ifndef RAP_SUPPORT_BITVECTOR_H
 #define RAP_SUPPORT_BITVECTOR_H
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -161,6 +162,22 @@ public:
   template <typename FnT> void forEach(FnT Fn) const {
     for (size_t I = 0, E = Words.size(); I != E; ++I) {
       uint64_t W = Words[I];
+      while (W != 0) {
+        unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
+        Fn(static_cast<unsigned>(I * 64 + Bit));
+        W &= W - 1;
+      }
+    }
+  }
+
+  /// Calls \p Fn(idx) for every element of both this set and \p Other, in
+  /// increasing order, one word-wise AND at a time. The universes may differ
+  /// in size; elements past the smaller one are in neither intersection.
+  template <typename FnT>
+  void forEachCommon(const BitVector &Other, FnT Fn) const {
+    for (size_t I = 0, E = std::min(Words.size(), Other.Words.size()); I != E;
+         ++I) {
+      uint64_t W = Words[I] & Other.Words[I];
       while (W != 0) {
         unsigned Bit = static_cast<unsigned>(__builtin_ctzll(W));
         Fn(static_cast<unsigned>(I * 64 + Bit));

@@ -168,8 +168,11 @@ void expectEqual(const InterferenceGraph &G, const RefGraph &R,
     EXPECT_EQ(Alive.count(Id) != 0, R.Nodes[Id].Alive) << "node " << Id;
     if (!R.Nodes[Id].Alive)
       continue;
-    std::set<Reg> Members(G.node(Id).VRegs.begin(), G.node(Id).VRegs.end());
-    EXPECT_EQ(Members, R.Nodes[Id].VRegs) << "node " << Id;
+    // Members are kept sorted, and each maps back to its node.
+    std::vector<Reg> Sorted(R.Nodes[Id].VRegs.begin(), R.Nodes[Id].VRegs.end());
+    EXPECT_EQ(G.node(Id).VRegs, Sorted) << "node " << Id;
+    for (Reg V : G.node(Id).VRegs)
+      EXPECT_EQ(G.nodeOf(V), static_cast<int>(Id)) << "%" << V;
     std::set<unsigned> AdjSet(G.adjacency(Id).begin(),
                               G.adjacency(Id).end());
     EXPECT_EQ(AdjSet.size(), G.adjacency(Id).size())
@@ -181,6 +184,63 @@ void expectEqual(const InterferenceGraph &G, const RefGraph &R,
       if (R.Nodes[Other].Alive &&
           G.interfere(Id, Other) != R.interfere(Id, Other))
         FAIL() << "interfere(" << Id << "," << Other << ") disagrees";
+  }
+}
+
+/// Colors the alive nodes of \p G greedily from a random start color (so
+/// adjacent nodes differ and several nodes share a color), then checks
+/// combinedByColor against a naive model built from \p R: one node per
+/// used color in order of the color's first alive node, members unioned
+/// and sorted, Global or-ed, and colors adjacent when any members were.
+void expectCombinedMatches(InterferenceGraph &G, const RefGraph &R,
+                           std::mt19937 &Rng) {
+  std::vector<unsigned> Alive = G.aliveNodes();
+  for (unsigned N : Alive)
+    G.node(N).Color = -1;
+  for (unsigned N : Alive) {
+    std::set<int> Taken;
+    for (unsigned M : G.adjacency(N))
+      Taken.insert(G.node(M).Color);
+    int C = static_cast<int>(Rng() % 3);
+    while (Taken.count(C))
+      ++C;
+    G.node(N).Color = C;
+  }
+  InterferenceGraph Out = G.combinedByColor();
+
+  std::vector<int> Colors;
+  std::map<int, unsigned> IndexOf;
+  std::vector<std::set<Reg>> Members;
+  std::vector<bool> Global;
+  for (unsigned N : Alive) {
+    auto [It, New] = IndexOf.try_emplace(G.node(N).Color,
+                                         static_cast<unsigned>(Colors.size()));
+    if (New) {
+      Colors.push_back(G.node(N).Color);
+      Members.emplace_back();
+      Global.push_back(false);
+    }
+    Members[It->second].insert(R.Nodes[N].VRegs.begin(),
+                               R.Nodes[N].VRegs.end());
+    Global[It->second] = Global[It->second] || R.Nodes[N].Global;
+  }
+  std::vector<std::set<unsigned>> Adj(Colors.size());
+  for (unsigned N : Alive)
+    for (unsigned M : R.aliveNeighbors(N))
+      Adj[IndexOf.at(G.node(N).Color)].insert(IndexOf.at(G.node(M).Color));
+
+  ASSERT_EQ(Out.numNodesTotal(), Colors.size());
+  ASSERT_EQ(Out.numAliveNodes(), Colors.size());
+  for (unsigned I = 0; I != Colors.size(); ++I) {
+    EXPECT_EQ(Out.node(I).Color, Colors[I]) << "combined node " << I;
+    std::vector<Reg> Want(Members[I].begin(), Members[I].end());
+    EXPECT_EQ(Out.node(I).VRegs, Want) << "combined node " << I;
+    EXPECT_EQ(Out.node(I).Global, Global[I]) << "combined node " << I;
+    for (Reg V : Want)
+      EXPECT_EQ(Out.nodeOf(V), static_cast<int>(I)) << "%" << V;
+    std::set<unsigned> AdjSet(Out.adjacency(I).begin(),
+                              Out.adjacency(I).end());
+    EXPECT_EQ(AdjSet, Adj[I]) << "combined node " << I;
   }
 }
 
@@ -232,13 +292,18 @@ TEST(InterferenceDense, RandomOpSequences) {
         G.renameReg(Old, Fresh);
         R.renameReg(Old, Fresh);
       } else if (Op == 8) {
-        // Import a fresh register into an existing node.
+        // Import a register not yet in the graph into an existing node:
+        // one from the pool when a probe finds it absent (so it lands
+        // mid-list), otherwise a fresh one (appended at the end).
         std::vector<unsigned> Alive = G.aliveNodes();
         unsigned N = Alive[Rng() % Alive.size()];
-        Reg Fresh = NextFresh++;
-        MaxSeen = Fresh;
-        G.addRegToNode(N, Fresh);
-        R.addRegToNode(N, Fresh);
+        Reg New = Rng() % (MaxReg + 1);
+        if (G.hasReg(New)) {
+          New = NextFresh++;
+          MaxSeen = New;
+        }
+        G.addRegToNode(N, New);
+        R.addRegToNode(N, New);
       } else {
         // Toggle a Global flag (kept mirrored by hand).
         std::vector<unsigned> Alive = G.aliveNodes();
@@ -249,6 +314,10 @@ TEST(InterferenceDense, RandomOpSequences) {
       }
       expectEqual(G, R, MaxSeen);
       EXPECT_GT(G.memoryBytes(), 0u);
+      if (Step % 4 == 3)
+        expectCombinedMatches(G, R, Rng);
+      if (HasFatalFailure())
+        return;
     }
   }
 }

@@ -27,6 +27,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <ostream>
 
 using namespace rap;
@@ -89,6 +90,99 @@ void expectSparseMatchesDenseOnProgram(const std::string &Source,
       std::string Where = What + (A == AllocatorKind::Rap ? " rap " : " ") +
                           F->name();
       expectSparseMatchesDense(linearize(*F), F->numVRegs(), Where);
+      if (testing::Test::HasFatalFailure())
+        return;
+    }
+  }
+}
+
+/// Which categories of register the RefInfo range checks have met.
+struct RangeCoverage {
+  unsigned UsedNotDefined = 0, DefinedNotUsed = 0, Unreferenced = 0;
+};
+
+/// RefInfo's range queries against a brute-force scan, for every register
+/// of \p F and every region span of its tree (plus the empty span at each
+/// region's start and the whole function).
+void expectRangeQueriesMatchScan(IlocFunction &F, RangeCoverage &Cov,
+                                 const std::string &What) {
+  LinearCode Code = linearize(F);
+  const unsigned E = static_cast<unsigned>(Code.Instrs.size());
+  const unsigned NumVRegs = F.numVRegs();
+  RefInfo Refs(Code, NumVRegs);
+
+  std::vector<std::pair<unsigned, unsigned>> Spans = {{0, E}};
+  F.root()->forEachNode([&](const PdgNode *N) {
+    if (!N->isRegion())
+      return;
+    Spans.push_back({N->LinBegin, N->LinEnd});
+    Spans.push_back({N->LinBegin, N->LinBegin});
+  });
+
+  // The distinct registers each position references.
+  std::vector<std::vector<Reg>> RefsAt(E);
+  std::vector<unsigned> Total(NumVRegs, 0), NumUses(NumVRegs, 0),
+      NumDefs(NumVRegs, 0);
+  for (unsigned P = 0; P != E; ++P) {
+    const Instr *I = Code.Instrs[P];
+    std::vector<Reg> &At = RefsAt[P];
+    At.assign(I->Src.begin(), I->Src.end());
+    for (Reg R : I->Src)
+      ++NumUses[R];
+    if (I->hasDef()) {
+      At.push_back(I->Dst);
+      ++NumDefs[I->Dst];
+    }
+    std::sort(At.begin(), At.end());
+    At.erase(std::unique(At.begin(), At.end()), At.end());
+    for (Reg R : At)
+      ++Total[R];
+  }
+  for (Reg R = 0; R != NumVRegs; ++R) {
+    Cov.UsedNotDefined += NumUses[R] && !NumDefs[R];
+    Cov.DefinedNotUsed += NumDefs[R] && !NumUses[R];
+    Cov.Unreferenced += !NumUses[R] && !NumDefs[R];
+  }
+
+  for (auto [Begin, End] : Spans) {
+    std::vector<char> Used(NumVRegs, 0), Defined(NumVRegs, 0);
+    std::vector<unsigned> Inside(NumVRegs, 0);
+    for (unsigned P = Begin; P != End; ++P) {
+      const Instr *I = Code.Instrs[P];
+      for (Reg R : I->Src)
+        Used[R] = 1;
+      if (I->hasDef())
+        Defined[I->Dst] = 1;
+      for (Reg R : RefsAt[P])
+        ++Inside[R];
+    }
+    for (Reg R = 0; R != NumVRegs; ++R) {
+      bool AllWithin = Inside[R] == Total[R];
+      if (Refs.usedWithin(R, Begin, End) != static_cast<bool>(Used[R]) ||
+          Refs.definedWithin(R, Begin, End) != static_cast<bool>(Defined[R]) ||
+          Refs.allRefsWithin(R, Begin, End) != AllWithin)
+        FAIL() << What << ", %" << R << " in [" << Begin << ", " << End
+               << "): used " << int(Used[R]) << " defined " << int(Defined[R])
+               << " all-within " << AllWithin;
+    }
+  }
+}
+
+/// Runs expectRangeQueriesMatchScan over every function of \p Source, as
+/// lowered and after RAP at k=5.
+void expectRangeQueriesMatchScanOnProgram(const std::string &Source,
+                                          const std::string &What,
+                                          RangeCoverage &Cov) {
+  for (AllocatorKind A : {AllocatorKind::None, AllocatorKind::Rap}) {
+    CompileOptions Options;
+    Options.Allocator = A;
+    Options.Alloc.K = 5;
+    CompileResult CR = compileMiniC(Source, Options);
+    ASSERT_TRUE(CR.ok()) << What << ":\n" << CR.Errors;
+    for (const auto &F : CR.Prog->functions()) {
+      expectRangeQueriesMatchScan(
+          *F, Cov,
+          What + (A == AllocatorKind::Rap ? " rap " : " ") + F->name());
       if (testing::Test::HasFatalFailure())
         return;
     }
@@ -336,6 +430,25 @@ TEST(SparseFlowDeps, MatchesDenseOnScaleModule) {
   C.NumFunctions = 40;
   expectSparseMatchesDenseOnProgram(fuzz::ScaleProgramBuilder(C).buildModule(),
                                     "module seed 1");
+}
+
+TEST(RefInfoRanges, MatchBruteForce) {
+  RangeCoverage Cov;
+  for (const BenchProgram &P : benchPrograms()) {
+    expectRangeQueriesMatchScanOnProgram(P.Source, P.Name, Cov);
+    if (HasFailure())
+      return;
+  }
+  fuzz::ScaleProgramConfig C;
+  C.Seed = 1;
+  C.DeepDepth = 3;
+  C.DeepFanout = 3;
+  expectRangeQueriesMatchScanOnProgram(
+      fuzz::ScaleProgramBuilder(C).buildDeepFunction(), "deep seed 1", Cov);
+  // The inputs must reach the edge cases: an empty use or def list.
+  EXPECT_GT(Cov.UsedNotDefined, 0u);
+  EXPECT_GT(Cov.DefinedNotUsed, 0u);
+  EXPECT_GT(Cov.Unreferenced, 0u);
 }
 
 TEST(SparseFlowDeps, LoopCarriedUseAndDefInOneInstruction) {

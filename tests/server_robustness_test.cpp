@@ -475,7 +475,8 @@ TEST(ServerDrain, DrainDeadlineCancelsInflightAndExitsThree) {
   // dispatch flips the stop flag (as if SIGTERM landed mid-compile), the
   // 25ms drain window passes while the big compile is still running, the
   // drain watcher cancels it, and the request answers "cancelled" — no
-  // response lost, exit code 3.
+  // response lost, exit code 3. The module must take several times the
+  // window to compile uncancelled, or a fast allocator finishes first.
   ServerConfig Config;
   Config.Service.Shards = 2;
   Config.Hello = false;
@@ -484,7 +485,7 @@ TEST(ServerDrain, DrainDeadlineCancelsInflightAndExitsThree) {
   Server S(Config);
   std::istringstream In(
       "{\"op\":\"compile\",\"id\":1,\"source\":" +
-      json::Value(heavyModule(48)).str() +
+      json::Value(heavyModule(192)).str() +
       ",\"options\":{\"alloc\":\"rap\",\"k\":3}}\n"
       "{\"op\":\"ping\",\"id\":2}\n");
   std::ostringstream Out;
